@@ -322,13 +322,8 @@ impl MetadataEngine {
         ready: Cycles,
     ) -> (Block, Cycles) {
         let addr = self.map.bmt_node_addr(level, index);
-        let written = p.nvm.device().is_written(addr);
-        let (bytes, c) = p.nvm.read(addr, "tree", ready);
-        let bytes = if written {
-            bytes
-        } else {
-            self.bmt.default_node(level)
-        };
+        let (bytes, c) = p.nvm.read_written(addr, "tree", ready);
+        let bytes = bytes.unwrap_or_else(|| self.bmt.default_node(level));
         (bytes, c.done)
     }
 
@@ -399,9 +394,8 @@ impl MetadataEngine {
                     what: "tree-node",
                 });
             }
-            let fetched_mac = self.bmt.node_mac(&bytes);
             self.log(move || {
-                format!("fetched+verified L{level}[{index}] {addr:#x} mac={fetched_mac}")
+                format!("fetched+verified L{level}[{index}] {addr:#x} mac={expected}")
             });
             let spill = self.tree_cache.insert(addr, bytes, false);
             t = self.process_spill(p, spill, t)?;
@@ -478,17 +472,9 @@ impl MetadataEngine {
         ready: Cycles,
     ) -> Result<Cycles, IntegrityError> {
         let mut t = ready;
-        let mut pending: Vec<EvictedLine> = Vec::new();
-        if let Some(l) = spill {
-            pending.push(l);
-        }
-        let mut guard = 0u32;
-        while let Some(line) = pending.pop() {
-            guard += 1;
-            assert!(guard < 1_000_000, "runaway metadata eviction cascade");
-            if !line.dirty {
-                continue;
-            }
+        // Cascades recurse through `update_tree_entry`, so one spill is
+        // one line.
+        if let Some(line) = spill.filter(|l| l.dirty) {
             match self.map.region_of(line.addr) {
                 Region::Counter => {
                     self.log(|| format!("evict counter {:#x}", line.addr));
@@ -503,10 +489,10 @@ impl MetadataEngine {
                     }
                 }
                 Region::Bmt(level) => {
-                    let evicted_mac = self.bmt.node_mac(&line.data);
+                    let mac = self.child_mac(&line.data);
                     self.log(move || {
                         format!(
-                            "evict tree L{level} {:#x} mac(bytes)={evicted_mac} dirty={}",
+                            "evict tree L{level} {:#x} mac(bytes)={mac} dirty={}",
                             line.addr, line.dirty
                         )
                     });
@@ -517,7 +503,6 @@ impl MetadataEngine {
                     if self.scheme == UpdateScheme::Lazy {
                         let base = self.map.bmt_node_addr(level, 0);
                         let idx = (line.addr - base) / 64;
-                        let mac = self.child_mac(&line.data);
                         let mc = p.mac_op("update_tree", t);
                         t = mc.done;
                         let res = if level == self.bmt.levels() - 1 {

@@ -10,7 +10,7 @@
 
 use horus_nvm::{NvmConfig, NvmSystem};
 use horus_sim::trace::Probe;
-use horus_sim::{Completion, Cycles, SlotResource, Stats, TraceEvent};
+use horus_sim::{Completion, Cycles, KindCounters, SlotResource, Stats, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 /// Latency/throughput parameters of the on-chip crypto engines.
@@ -58,6 +58,8 @@ pub struct Platform {
     aes: SlotResource,
     hash: SlotResource,
     stats: Stats,
+    macs: KindCounters,
+    pads: KindCounters,
     /// Carries drain-phase and recovery markers on a dedicated
     /// `"phase"` track (disabled, hence free, by default).
     phase_probe: Probe,
@@ -72,6 +74,8 @@ impl Platform {
             aes: SlotResource::pipelined("aes", crypto.aes_latency, crypto.aes_interval),
             hash: SlotResource::pipelined("hash", crypto.hash_latency, crypto.hash_interval),
             stats: Stats::new(),
+            macs: KindCounters::new("macop."),
+            pads: KindCounters::new("aesop."),
             phase_probe: Probe::disabled(),
         }
     }
@@ -86,8 +90,8 @@ impl Platform {
     }
 
     /// Issues one MAC computation attributed to `kind` (`macop.<kind>`).
-    pub fn mac_op(&mut self, kind: &str, ready: Cycles) -> Completion {
-        self.stats.incr_pair("macop.", kind);
+    pub fn mac_op(&mut self, kind: &'static str, ready: Cycles) -> Completion {
+        self.macs.incr(&mut self.stats, kind);
         if self.hash.probe_enabled() {
             self.hash.issue_named(&format!("mac.{kind}"), ready)
         } else {
@@ -98,8 +102,8 @@ impl Platform {
     /// Issues the four pipelined AES operations generating one 64-byte
     /// one-time pad, attributed to `kind` (`aesop.<kind>` counts pads).
     /// Returns the completion of the last lane.
-    pub fn otp_op(&mut self, kind: &str, ready: Cycles) -> Completion {
-        self.stats.incr_pair("aesop.", kind);
+    pub fn otp_op(&mut self, kind: &'static str, ready: Cycles) -> Completion {
+        self.pads.incr(&mut self.stats, kind);
         if self.aes.probe_enabled() {
             let name = format!("otp.{kind}");
             let mut last = self.aes.issue_named(&name, ready);

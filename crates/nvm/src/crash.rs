@@ -50,16 +50,15 @@ impl std::fmt::Display for TornWriteModel {
 #[derive(Debug, Clone)]
 pub(crate) struct JournalEntry {
     pub(crate) addr: u64,
-    /// The block's contents before this write.
-    pub(crate) pre: Block,
-    /// Whether the block had ever been written before this write (a
-    /// never-written block rewinds to *erased*, not to zeros-as-data).
-    pub(crate) was_written: bool,
+    /// The block's contents before this write, `None` if it had never
+    /// been written (a never-written block rewinds to *erased*, not to
+    /// zeros-as-data).
+    pub(crate) pre: Option<Block>,
     /// The data this write carried.
     pub(crate) data: Block,
     /// The request kind the write was attributed to (`"data"`,
     /// `"chv_mac"`, …), for per-kind fate accounting.
-    pub(crate) kind: String,
+    pub(crate) kind: &'static str,
     /// The bank service window the failure is classified against.
     pub(crate) completion: Completion,
 }

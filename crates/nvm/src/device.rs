@@ -2,29 +2,41 @@
 
 use crate::{Block, BLOCK_SIZE};
 use horus_sim::FxHashMap;
+use std::collections::hash_map::Entry;
 use std::fmt;
 
-/// Blocks per page: 4 KiB pages of 64-byte blocks.
-const PAGE_BLOCKS: usize = 64;
+/// Blocks per page: 1 KiB pages of 64-byte blocks.
+const PAGE_BLOCKS: usize = 16;
 /// Bytes per page.
 const PAGE_SIZE: u64 = (PAGE_BLOCKS * BLOCK_SIZE) as u64;
+// The written-block mask is one bit per block.
+const _: () = assert!(PAGE_BLOCKS == u16::BITS as usize);
 
-/// One 4 KiB page of backing store plus a written-block bitmask.
+const ZERO_BLOCK: Block = [0u8; BLOCK_SIZE];
+
+/// One 1 KiB page of backing store: its blocks, each block's wear
+/// (controller writes) and a written-block bitmask.
 ///
 /// The mask distinguishes "written with zeros" from "never written" and
-/// makes `written_addrs_sorted` a bit scan instead of a key sort.
+/// makes `written_addrs_sorted` a bit scan instead of a key sort; reads
+/// consult it, so an unwritten block's bytes are never observed.
 #[derive(Clone)]
 struct Page {
     blocks: [Block; PAGE_BLOCKS],
-    written: u64,
+    wear: [u64; PAGE_BLOCKS],
+    written: u16,
 }
 
 impl Page {
-    fn empty() -> Box<Self> {
-        Box::new(Self {
-            blocks: [[0u8; BLOCK_SIZE]; PAGE_BLOCKS],
-            written: 0,
-        })
+    /// Stores `data` at `idx` and adds `wear`; returns whether the block
+    /// was newly written.
+    fn store(&mut self, idx: usize, data: Block, wear: u64) -> bool {
+        let bit = 1u16 << idx;
+        let fresh = self.written & bit == 0;
+        self.written |= bit;
+        self.blocks[idx] = data;
+        self.wear[idx] += wear;
+        fresh
     }
 }
 
@@ -39,25 +51,76 @@ impl fmt::Debug for Page {
 /// Per-page storage, graded by population.
 ///
 /// Strided-sparse drains touch exactly one block per page; materializing
-/// a 4 KiB page (and deep-copying it on crash-rewind clones) for each
-/// would cost 64x the memory of the blocks actually written. A page
-/// holding a single block stays inline; the second write to the same
-/// page promotes it to a full backing page.
+/// a whole page (and deep-copying it on crash-rewind clones) for each
+/// would cost 16x the memory of the blocks actually written. A page
+/// holding a single live block — written, worn, or both — stays inline;
+/// a second live block promotes it to a full backing page.
 #[derive(Debug, Clone)]
 enum PageSlot {
-    Single { idx: u8, block: Block },
+    Single {
+        idx: u8,
+        written: bool,
+        wear: u64,
+        block: Block,
+    },
     Full(Box<Page>),
 }
 
-/// A sparse, byte-accurate non-volatile block store.
+impl PageSlot {
+    /// The page's written-block mask.
+    fn written_mask(&self) -> u16 {
+        match self {
+            PageSlot::Single { idx, written, .. } => u16::from(*written) << idx,
+            PageSlot::Full(p) => p.written,
+        }
+    }
+
+    /// Promotes an inline slot to a full page (a no-op on full pages).
+    fn full(&mut self) -> &mut Page {
+        if let PageSlot::Single {
+            idx,
+            written,
+            wear,
+            block,
+        } = *self
+        {
+            let mut p = Box::new(Page {
+                blocks: [ZERO_BLOCK; PAGE_BLOCKS],
+                wear: [0; PAGE_BLOCKS],
+                written: 0,
+            });
+            let i = usize::from(idx);
+            p.blocks[i] = block;
+            p.wear[i] = wear;
+            p.written = u16::from(written) << i;
+            *self = PageSlot::Full(p);
+        }
+        match self {
+            PageSlot::Full(p) => p,
+            PageSlot::Single { .. } => unreachable!("promoted above"),
+        }
+    }
+}
+
+/// A sparse, byte-accurate non-volatile block store that also keeps
+/// each block's wear.
 ///
 /// The simulated machine has 32 GB of PCM plus reserved metadata regions;
 /// experiments touch a few hundred thousand blocks of it, so storage is a
-/// two-level page table: a hash map from page number (address bits 12 and
-/// up) to 4 KiB pages of 64-byte blocks. Unwritten blocks read as zero
+/// two-level page table: a hash map from page number (address bits 10 and
+/// up) to 1 KiB pages of 64-byte blocks. Unwritten blocks read as zero
 /// (freshly-initialized memory). Workloads are page-clustered, so the
-/// common access hits one hash lookup per 64 blocks of locality and the
+/// common access hits one hash lookup per 16 blocks of locality and the
 /// per-block work is an index and a bitmask instead of a `HashMap` probe.
+///
+/// Wear — the number of timed controller writes a block has absorbed —
+/// lives beside the block, so [`NvmSystem`](crate::NvmSystem) counts a
+/// write in the same probe that stores it. Plain [`write_block`]
+/// (attackers, test setup, crash rewinds) leaves wear alone, and
+/// [`erase_range`] forgets contents but not wear.
+///
+/// [`write_block`]: Self::write_block
+/// [`erase_range`]: Self::erase_range
 ///
 /// ```
 /// use horus_nvm::NvmDevice;
@@ -79,16 +142,39 @@ impl NvmDevice {
         Self::default()
     }
 
-    fn assert_aligned(addr: u64) {
+    /// Splits a block address into (page number, block-in-page index).
+    fn split(addr: u64) -> (u64, usize) {
         assert!(
             addr % BLOCK_SIZE as u64 == 0,
             "NVM address {addr:#x} is not block-aligned"
         );
+        (addr / PAGE_SIZE, ((addr % PAGE_SIZE) as usize) / BLOCK_SIZE)
     }
 
-    /// Splits a block address into (page number, block-in-page index).
-    fn split(addr: u64) -> (u64, usize) {
-        (addr / PAGE_SIZE, ((addr % PAGE_SIZE) as usize) / BLOCK_SIZE)
+    /// The address of block `idx` of page `page`.
+    fn join(page: u64, idx: usize) -> u64 {
+        page * PAGE_SIZE + (idx * BLOCK_SIZE) as u64
+    }
+
+    /// Reads the block at `addr`, or `None` if it was never written
+    /// (one probe for both answers).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not 64-byte aligned.
+    #[must_use]
+    pub fn read_written(&self, addr: u64) -> Option<Block> {
+        let (page, idx) = Self::split(addr);
+        match self.pages.get(&page)? {
+            PageSlot::Single {
+                idx: i,
+                written: true,
+                block,
+                ..
+            } if usize::from(*i) == idx => Some(*block),
+            PageSlot::Full(p) if p.written & (1u16 << idx) != 0 => Some(p.blocks[idx]),
+            _ => None,
+        }
     }
 
     /// Reads the block at `addr` (zero if never written).
@@ -98,66 +184,64 @@ impl NvmDevice {
     /// Panics if `addr` is not 64-byte aligned.
     #[must_use]
     pub fn read_block(&self, addr: u64) -> Block {
-        Self::assert_aligned(addr);
-        let (page, idx) = Self::split(addr);
-        match self.pages.get(&page) {
-            Some(PageSlot::Single { idx: i, block }) if *i as usize == idx => *block,
-            Some(PageSlot::Full(p)) => p.blocks[idx],
-            _ => [0u8; BLOCK_SIZE],
-        }
+        self.read_written(addr).unwrap_or(ZERO_BLOCK)
     }
 
-    /// Writes the block at `addr`.
+    /// Writes the block at `addr` without counting wear.
     ///
     /// # Panics
     ///
     /// Panics if `addr` is not 64-byte aligned.
     pub fn write_block(&mut self, addr: u64, data: Block) {
-        Self::assert_aligned(addr);
+        self.store(addr, data, 0);
+    }
+
+    /// Writes the block at `addr` and counts one write of wear against
+    /// it: the controller's write path.
+    pub(crate) fn write_worn(&mut self, addr: u64, data: Block) {
+        self.store(addr, data, 1);
+    }
+
+    fn store(&mut self, addr: u64, data: Block, wear: u64) {
         let (page, idx) = Self::split(addr);
-        match self.pages.entry(page) {
-            std::collections::hash_map::Entry::Vacant(v) => {
+        let fresh = match self.pages.entry(page) {
+            Entry::Vacant(v) => {
                 v.insert(PageSlot::Single {
                     idx: idx as u8,
+                    written: true,
+                    wear,
                     block: data,
                 });
-                self.written += 1;
+                true
             }
-            std::collections::hash_map::Entry::Occupied(mut o) => match o.get_mut() {
-                PageSlot::Single { idx: i, block } if *i as usize == idx => *block = data,
-                slot @ PageSlot::Single { .. } => {
-                    let PageSlot::Single { idx: i, block } = *slot else {
-                        unreachable!()
-                    };
-                    let mut p = Page::empty();
-                    p.blocks[i as usize] = block;
-                    p.blocks[idx] = data;
-                    p.written = (1u64 << i) | (1u64 << idx);
-                    *slot = PageSlot::Full(p);
-                    self.written += 1;
+            Entry::Occupied(o) => match o.into_mut() {
+                PageSlot::Single {
+                    idx: i,
+                    written,
+                    wear: w,
+                    block,
+                } if usize::from(*i) == idx => {
+                    *block = data;
+                    *w += wear;
+                    !std::mem::replace(written, true)
                 }
-                PageSlot::Full(p) => {
-                    let bit = 1u64 << idx;
-                    if p.written & bit == 0 {
-                        p.written |= bit;
-                        self.written += 1;
-                    }
-                    p.blocks[idx] = data;
-                }
+                slot => slot.full().store(idx, data, wear),
             },
-        }
+        };
+        self.written += usize::from(fresh);
     }
 
     /// Whether the block at `addr` has ever been written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not 64-byte aligned.
     #[must_use]
     pub fn is_written(&self, addr: u64) -> bool {
-        Self::assert_aligned(addr);
         let (page, idx) = Self::split(addr);
-        match self.pages.get(&page) {
-            Some(PageSlot::Single { idx: i, .. }) => *i as usize == idx,
-            Some(PageSlot::Full(p)) => p.written & (1u64 << idx) != 0,
-            None => false,
-        }
+        self.pages
+            .get(&page)
+            .is_some_and(|slot| slot.written_mask() & (1u16 << idx) != 0)
     }
 
     /// Number of distinct blocks ever written.
@@ -166,55 +250,92 @@ impl NvmDevice {
         self.written
     }
 
+    /// The occupied pages in page-number order.
+    fn sorted_pages(&self) -> Vec<(u64, &PageSlot)> {
+        let mut pages: Vec<(u64, &PageSlot)> = self.pages.iter().map(|(k, v)| (*k, v)).collect();
+        pages.sort_unstable_by_key(|(k, _)| *k);
+        pages
+    }
+
     /// All written block addresses, sorted (deterministic iteration for
     /// recovery scans over a sparse device).
     #[must_use]
     pub fn written_addrs_sorted(&self) -> Vec<u64> {
-        let mut pages: Vec<u64> = self.pages.keys().copied().collect();
-        pages.sort_unstable();
         let mut addrs = Vec::with_capacity(self.written);
-        for page in pages {
-            let mut mask = match &self.pages[&page] {
-                PageSlot::Single { idx, .. } => 1u64 << idx,
-                PageSlot::Full(p) => p.written,
-            };
+        for (page, slot) in self.sorted_pages() {
+            let mut mask = slot.written_mask();
             while mask != 0 {
-                let idx = mask.trailing_zeros() as u64;
-                addrs.push(page * PAGE_SIZE + idx * BLOCK_SIZE as u64);
+                addrs.push(Self::join(page, mask.trailing_zeros() as usize));
                 mask &= mask - 1;
             }
         }
         addrs
     }
 
+    /// `(address, wear)` of every block with nonzero wear, sorted by
+    /// address.
+    pub(crate) fn worn_blocks_sorted(&self) -> Vec<(u64, u64)> {
+        let mut worn = Vec::new();
+        for (page, slot) in self.sorted_pages() {
+            match slot {
+                PageSlot::Single { idx, wear, .. } => {
+                    if *wear > 0 {
+                        worn.push((Self::join(page, usize::from(*idx)), *wear));
+                    }
+                }
+                PageSlot::Full(p) => worn.extend(
+                    (0..PAGE_BLOCKS)
+                        .filter(|&i| p.wear[i] > 0)
+                        .map(|i| (Self::join(page, i), p.wear[i])),
+                ),
+            }
+        }
+        worn
+    }
+
+    /// Forgets all wear (a fresh device), keeping contents.
+    pub(crate) fn clear_wear(&mut self) {
+        self.pages.retain(|_, slot| {
+            match slot {
+                PageSlot::Single { wear, .. } => *wear = 0,
+                PageSlot::Full(p) => p.wear = [0; PAGE_BLOCKS],
+            }
+            slot.written_mask() != 0
+        });
+    }
+
     /// Erases a range of blocks back to zero (used when a drain episode's
-    /// vault is logically discarded).
+    /// vault is logically discarded, and by crash rewinds). Wear is
+    /// device-lifetime state and survives the erase.
     ///
     /// # Panics
     ///
-    /// Panics if `start` is not block-aligned.
+    /// Panics if the range is non-empty and `start` is not block-aligned.
     pub fn erase_range(&mut self, start: u64, blocks: u64) {
-        Self::assert_aligned(start);
         for i in 0..blocks {
             let (page, idx) = Self::split(start + i * BLOCK_SIZE as u64);
-            match self.pages.get_mut(&page) {
-                Some(PageSlot::Single { idx: i, .. }) if *i as usize == idx => {
-                    self.pages.remove(&page);
-                    self.written -= 1;
+            let Entry::Occupied(mut o) = self.pages.entry(page) else {
+                continue;
+            };
+            let live = match o.get_mut() {
+                PageSlot::Single {
+                    idx: i,
+                    written,
+                    wear,
+                    ..
+                } if usize::from(*i) == idx && *written => {
+                    *written = false;
+                    *wear > 0
                 }
-                Some(PageSlot::Single { .. }) => {}
-                Some(PageSlot::Full(p)) => {
-                    let bit = 1u64 << idx;
-                    if p.written & bit != 0 {
-                        p.written &= !bit;
-                        p.blocks[idx] = [0u8; BLOCK_SIZE];
-                        self.written -= 1;
-                    }
-                    if p.written == 0 {
-                        self.pages.remove(&page);
-                    }
+                PageSlot::Full(p) if p.written & (1u16 << idx) != 0 => {
+                    p.written &= !(1u16 << idx);
+                    p.written != 0 || p.wear.iter().any(|&w| w > 0)
                 }
-                None => {}
+                _ => continue,
+            };
+            self.written -= 1;
+            if !live {
+                o.remove();
             }
         }
     }
@@ -254,15 +375,43 @@ mod tests {
     #[test]
     fn second_write_promotes_page_and_keeps_first_block() {
         let mut d = NvmDevice::new();
-        d.write_block(4096, [1u8; 64]);
-        d.write_block(4096 + 64, [2u8; 64]);
-        d.write_block(4096 + 4032, [3u8; 64]);
-        assert_eq!(d.read_block(4096), [1u8; 64]);
-        assert_eq!(d.read_block(4096 + 64), [2u8; 64]);
-        assert_eq!(d.read_block(4096 + 4032), [3u8; 64]);
-        assert_eq!(d.read_block(4096 + 128), [0u8; 64]);
+        let last = PAGE_SIZE - BLOCK_SIZE as u64;
+        d.write_block(PAGE_SIZE, [1u8; 64]);
+        d.write_block(PAGE_SIZE + 64, [2u8; 64]);
+        d.write_block(PAGE_SIZE + last, [3u8; 64]);
+        assert_eq!(d.read_block(PAGE_SIZE), [1u8; 64]);
+        assert_eq!(d.read_block(PAGE_SIZE + 64), [2u8; 64]);
+        assert_eq!(d.read_block(PAGE_SIZE + last), [3u8; 64]);
+        assert_eq!(d.read_block(PAGE_SIZE + 128), [0u8; 64]);
+        assert_eq!(d.read_written(PAGE_SIZE + 128), None);
         assert_eq!(d.written_blocks(), 3);
-        assert_eq!(d.written_addrs_sorted(), vec![4096, 4096 + 64, 4096 + 4032]);
+        assert_eq!(
+            d.written_addrs_sorted(),
+            vec![PAGE_SIZE, PAGE_SIZE + 64, PAGE_SIZE + last]
+        );
+    }
+
+    #[test]
+    fn wear_counts_worn_writes_only_and_survives_erase() {
+        let mut d = NvmDevice::new();
+        d.write_worn(0, [1u8; 64]);
+        d.write_worn(0, [2u8; 64]);
+        d.write_block(64, [3u8; 64]);
+        d.write_worn(PAGE_SIZE, [4u8; 64]);
+        assert_eq!(d.worn_blocks_sorted(), vec![(0, 2), (PAGE_SIZE, 1)]);
+        d.erase_range(0, 2);
+        d.erase_range(PAGE_SIZE, 1);
+        assert_eq!(d.written_blocks(), 0);
+        assert!(d.written_addrs_sorted().is_empty());
+        assert_eq!(d.worn_blocks_sorted(), vec![(0, 2), (PAGE_SIZE, 1)]);
+        // An erased, worn block takes new writes like a fresh one.
+        d.write_worn(PAGE_SIZE, [5u8; 64]);
+        assert_eq!(d.read_written(PAGE_SIZE), Some([5u8; 64]));
+        assert_eq!(d.written_blocks(), 1);
+        d.clear_wear();
+        assert!(d.worn_blocks_sorted().is_empty());
+        assert_eq!(d.read_block(PAGE_SIZE), [5u8; 64], "contents kept");
+        assert_eq!(d.pages.len(), 1, "pages with neither data nor wear dropped");
     }
 
     #[test]
@@ -305,12 +454,12 @@ mod tests {
     fn written_addrs_sorted_across_pages() {
         let mut d = NvmDevice::new();
         // Out-of-order writes spanning several pages and a page boundary.
-        for addr in [1 << 30, 4096, 4032, 0, 64, (1 << 30) + 64, 8192] {
+        for addr in [1 << 30, 1024, 960, 0, 64, (1 << 30) + 64, 2048] {
             d.write_block(addr, [7u8; 64]);
         }
         assert_eq!(
             d.written_addrs_sorted(),
-            vec![0, 64, 4032, 4096, 8192, 1 << 30, (1 << 30) + 64]
+            vec![0, 64, 960, 1024, 2048, 1 << 30, (1 << 30) + 64]
         );
         assert_eq!(d.written_blocks(), 7);
     }

@@ -9,12 +9,14 @@
 //!   baseline lazy scheme flushes its metadata cache into.
 //! * [`device::NvmDevice`] — a functional, byte-accurate (but sparse)
 //!   block store: what is written is exactly what is read back, so the
-//!   cryptographic layers above operate on real data.
+//!   cryptographic layers above operate on real data. Each block's wear
+//!   (timed writes absorbed) is kept beside it.
 //! * [`system::NvmSystem`] — the timed front end: a bank-interleaved PCM
 //!   device with the paper's 150 ns read / 500 ns write latencies, which
 //!   also attributes every access to a request *kind* (data, counter,
-//!   MAC, tree, CHV…) in a [`Stats`](horus_sim::Stats) registry — the raw
-//!   material for the paper's Figure 6 and Figure 12 breakdowns.
+//!   MAC, tree, CHV…; a string literal) in a [`Stats`](horus_sim::Stats)
+//!   registry — the raw material for the paper's Figure 6 and Figure 12
+//!   breakdowns — and summarizes device wear as a [`WearTracker`].
 //!
 //! # Example
 //!
@@ -27,6 +29,7 @@
 //! let (block, _) = nvm.read(0x40, "data", done);
 //! assert_eq!(block, [7u8; 64]);
 //! assert_eq!(nvm.stats().get("mem.write.data"), 1);
+//! assert_eq!(nvm.wear().wear_of(0x40), 1);
 //! ```
 
 #![forbid(unsafe_code)]

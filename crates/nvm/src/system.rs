@@ -4,7 +4,8 @@ use crate::crash::{torn_block, CrashOutcome, JournalEntry, TornWriteModel};
 use crate::wear::WearTracker;
 use crate::{Block, NvmDevice, BLOCK_SIZE};
 use horus_sim::{
-    Completion, Cycles, Frequency, PowerFailure, SlotBankSet, Stats, TraceEvent, WriteFate,
+    Completion, Cycles, Frequency, KindCounters, PowerFailure, SlotBankSet, Stats, TraceEvent,
+    WriteFate,
 };
 use serde::{Deserialize, Serialize};
 
@@ -49,6 +50,8 @@ impl Default for NvmConfig {
 /// `"tree"`, `"chv_data"`); counts accumulate under `mem.read.<kind>` /
 /// `mem.write.<kind>` so experiment harnesses can reproduce the request
 /// breakdowns of the paper's Figures 6 and 12 directly from the registry.
+/// Kinds are string literals: each one's counter is resolved once and
+/// then bumped by id.
 #[derive(Debug, Clone)]
 pub struct NvmSystem {
     config: NvmConfig,
@@ -57,7 +60,8 @@ pub struct NvmSystem {
     read_latency: Cycles,
     write_latency: Cycles,
     stats: Stats,
-    wear: WearTracker,
+    reads: KindCounters,
+    writes: KindCounters,
     /// Armed only during crash-point experiments: records every write's
     /// pre-image and service window so a power failure can be applied
     /// post hoc.
@@ -77,7 +81,8 @@ impl NvmSystem {
             read_latency,
             write_latency,
             stats: Stats::new(),
-            wear: WearTracker::new(),
+            reads: KindCounters::new("mem.read."),
+            writes: KindCounters::new("mem.write."),
             journal: None,
         }
     }
@@ -120,19 +125,39 @@ impl NvmSystem {
     }
 
     /// Timed read of the block at `addr`, attributed to `kind`.
-    pub fn read(&mut self, addr: u64, kind: &str, ready: Cycles) -> (Block, Completion) {
+    pub fn read(&mut self, addr: u64, kind: &'static str, ready: Cycles) -> (Block, Completion) {
+        let (block, completion) = self.read_written(addr, kind, ready);
+        (block.unwrap_or([0u8; BLOCK_SIZE]), completion)
+    }
+
+    /// Timed read of the block at `addr`, attributed to `kind`, that
+    /// also tells a never-written block (`None`) from a written one.
+    /// Timing and accounting are exactly [`read`](Self::read)'s.
+    pub fn read_written(
+        &mut self,
+        addr: u64,
+        kind: &'static str,
+        ready: Cycles,
+    ) -> (Option<Block>, Completion) {
         let completion = if self.banks.probe_enabled() {
             self.banks
                 .issue_addr_for_named(&format!("read.{kind}"), addr, ready, self.read_latency)
         } else {
             self.banks.issue_addr_for(addr, ready, self.read_latency)
         };
-        self.stats.incr_pair("mem.read.", kind);
-        (self.device.read_block(addr), completion)
+        self.reads.incr(&mut self.stats, kind);
+        (self.device.read_written(addr), completion)
     }
 
-    /// Timed write of `data` to `addr`, attributed to `kind`.
-    pub fn write(&mut self, addr: u64, data: Block, kind: &str, ready: Cycles) -> Completion {
+    /// Timed write of `data` to `addr`, attributed to `kind`; counts one
+    /// write of wear against the block.
+    pub fn write(
+        &mut self,
+        addr: u64,
+        data: Block,
+        kind: &'static str,
+        ready: Cycles,
+    ) -> Completion {
         let completion = if self.banks.probe_enabled() {
             self.banks.issue_addr_for_named(
                 &format!("write.{kind}"),
@@ -143,19 +168,17 @@ impl NvmSystem {
         } else {
             self.banks.issue_addr_for(addr, ready, self.write_latency)
         };
-        self.stats.incr_pair("mem.write.", kind);
-        self.wear.record(addr);
+        self.writes.incr(&mut self.stats, kind);
         if let Some(journal) = &mut self.journal {
             journal.push(JournalEntry {
                 addr,
-                pre: self.device.read_block(addr),
-                was_written: self.device.is_written(addr),
+                pre: self.device.read_written(addr),
                 data,
-                kind: kind.to_owned(),
+                kind,
                 completion,
             });
         }
-        self.device.write_block(addr, data);
+        self.device.write_worn(addr, data);
         completion
     }
 
@@ -204,20 +227,20 @@ impl NvmSystem {
             match failure.fate_of(&e.completion) {
                 WriteFate::Durable => outcome.durable += 1,
                 WriteFate::Lost => {
-                    if e.was_written {
-                        self.device.write_block(e.addr, e.pre);
-                    } else {
-                        self.device.erase_range(e.addr, 1);
+                    match e.pre {
+                        Some(pre) => self.device.write_block(e.addr, pre),
+                        None => self.device.erase_range(e.addr, 1),
                     }
                     outcome.lost += 1;
                     outcome.lost_addrs.push(e.addr);
                 }
                 WriteFate::Torn { elapsed, duration } => {
-                    let torn = torn_block(&e.pre, &e.data, e.addr, elapsed, duration, model);
+                    let pre = e.pre.unwrap_or([0u8; BLOCK_SIZE]);
+                    let torn = torn_block(&pre, &e.data, e.addr, elapsed, duration, model);
                     self.device.write_block(e.addr, torn);
                     outcome.torn += 1;
                     outcome.torn_addrs.push(e.addr);
-                    outcome.torn_kinds.push(e.kind.clone());
+                    outcome.torn_kinds.push(e.kind.to_owned());
                 }
             }
         }
@@ -265,16 +288,19 @@ impl NvmSystem {
         self.banks.busy_until()
     }
 
-    /// Device-lifetime wear statistics (survives
-    /// [`reset_timing`](Self::reset_timing) — wear is not per-episode).
+    /// Device-lifetime wear statistics: every block's count of timed
+    /// writes, snapshotted from the device. Wear survives
+    /// [`reset_timing`](Self::reset_timing) and crash rewinds — it is
+    /// not per-episode — and ignores [`device_mut`](Self::device_mut)
+    /// writes.
     #[must_use]
-    pub fn wear(&self) -> &WearTracker {
-        &self.wear
+    pub fn wear(&self) -> WearTracker {
+        WearTracker::from_sorted(self.device.worn_blocks_sorted())
     }
 
     /// Resets device-lifetime wear statistics (a fresh device).
     pub fn reset_wear(&mut self) {
-        self.wear.reset();
+        self.device.clear_wear();
     }
 
     /// Resets timing state and accounting, keeping memory *contents* — a

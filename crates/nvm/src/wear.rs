@@ -4,31 +4,31 @@
 //! why the paper counts every extra metadata write as harm beyond the
 //! battery (§II-D: "these updates can lead to significant increase in
 //! the number of memory writes (and hence premature wear-out)"). The
-//! tracker records per-block write counts so experiments can compare not
-//! just *how many* writes a drain scheme issues but *where it
-//! concentrates them* — e.g. Horus re-writes the same CHV region every
-//! episode, while the baselines spray the metadata regions.
+//! device keeps a per-block count of controller writes beside each
+//! block; a [`WearTracker`] is a snapshot of those counts, so
+//! experiments can compare not just *how many* writes a drain scheme
+//! issues but *where it concentrates them* — e.g. Horus re-writes the
+//! same CHV region every episode, while the baselines spray the metadata
+//! regions.
 
-use horus_sim::{FxHashMap, Histogram};
+use horus_sim::Histogram;
 
-/// Per-block write counts for the whole device.
+/// Per-block write counts for the whole device, as returned by
+/// [`NvmSystem::wear`](crate::NvmSystem::wear).
 #[derive(Debug, Clone, Default)]
 pub struct WearTracker {
-    per_block: FxHashMap<u64, u64>,
+    /// `(block address, writes)` for every worn block, by address.
+    blocks: Vec<(u64, u64)>,
     total: u64,
 }
 
 impl WearTracker {
-    /// A fresh (unworn) device.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one write to the block at `addr`.
-    pub fn record(&mut self, addr: u64) {
-        *self.per_block.entry(addr).or_insert(0) += 1;
-        self.total += 1;
+    /// A snapshot of address-sorted `(address, writes)` pairs, each with
+    /// nonzero writes.
+    pub(crate) fn from_sorted(blocks: Vec<(u64, u64)>) -> Self {
+        debug_assert!(blocks.windows(2).all(|w| w[0].0 < w[1].0));
+        let total = blocks.iter().map(|(_, c)| c).sum();
+        Self { blocks, total }
     }
 
     /// Total writes ever recorded.
@@ -40,37 +40,39 @@ impl WearTracker {
     /// Number of distinct blocks ever written.
     #[must_use]
     pub fn blocks_touched(&self) -> u64 {
-        self.per_block.len() as u64
+        self.blocks.len() as u64
     }
 
     /// The worst-case (most-written) block's write count — the cell that
     /// dies first under no wear levelling.
     #[must_use]
     pub fn max_wear(&self) -> u64 {
-        self.per_block.values().copied().max().unwrap_or(0)
+        self.blocks.iter().map(|(_, c)| *c).max().unwrap_or(0)
     }
 
     /// Mean writes per touched block.
     #[must_use]
     pub fn mean_wear(&self) -> f64 {
-        if self.per_block.is_empty() {
+        if self.blocks.is_empty() {
             0.0
         } else {
-            self.total as f64 / self.per_block.len() as f64
+            self.total as f64 / self.blocks.len() as f64
         }
     }
 
     /// Write count of a specific block.
     #[must_use]
     pub fn wear_of(&self, addr: u64) -> u64 {
-        self.per_block.get(&addr).copied().unwrap_or(0)
+        self.blocks
+            .binary_search_by_key(&addr, |(a, _)| *a)
+            .map_or(0, |i| self.blocks[i].1)
     }
 
     /// The `n` most-written blocks, hottest first (ties broken by
     /// address for determinism).
     #[must_use]
     pub fn hottest(&self, n: usize) -> Vec<(u64, u64)> {
-        let mut v: Vec<(u64, u64)> = self.per_block.iter().map(|(a, c)| (*a, *c)).collect();
+        let mut v = self.blocks.clone();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v.truncate(n);
         v
@@ -80,7 +82,7 @@ impl WearTracker {
     #[must_use]
     pub fn histogram(&self) -> Histogram {
         let mut h = Histogram::new();
-        for c in self.per_block.values() {
+        for (_, c) in &self.blocks {
             h.record(*c);
         }
         h
@@ -91,18 +93,9 @@ impl WearTracker {
     #[must_use]
     pub fn writes_in_range(&self, base: u64, blocks: u64) -> u64 {
         let end = base + blocks * 64;
-        self.per_block
-            .iter()
-            .filter(|(a, _)| **a >= base && **a < end)
-            .map(|(_, c)| *c)
-            .sum()
-    }
-
-    /// Forgets all recorded wear (a fresh device, not a new episode —
-    /// wear is device-lifetime state).
-    pub fn reset(&mut self) {
-        self.per_block.clear();
-        self.total = 0;
+        let lo = self.blocks.partition_point(|(a, _)| *a < base);
+        let hi = self.blocks.partition_point(|(a, _)| *a < end);
+        self.blocks[lo..hi].iter().map(|(_, c)| c).sum()
     }
 }
 
@@ -110,9 +103,13 @@ impl WearTracker {
 mod tests {
     use super::*;
 
+    fn tracker(blocks: &[(u64, u64)]) -> WearTracker {
+        WearTracker::from_sorted(blocks.to_vec())
+    }
+
     #[test]
     fn fresh_tracker_is_zero() {
-        let w = WearTracker::new();
+        let w = WearTracker::default();
         assert_eq!(w.total_writes(), 0);
         assert_eq!(w.blocks_touched(), 0);
         assert_eq!(w.max_wear(), 0);
@@ -121,12 +118,8 @@ mod tests {
     }
 
     #[test]
-    fn records_accumulate_per_block() {
-        let mut w = WearTracker::new();
-        for _ in 0..5 {
-            w.record(0);
-        }
-        w.record(64);
+    fn counts_per_block() {
+        let w = tracker(&[(0, 5), (64, 1)]);
         assert_eq!(w.total_writes(), 6);
         assert_eq!(w.blocks_touched(), 2);
         assert_eq!(w.max_wear(), 5);
@@ -138,39 +131,25 @@ mod tests {
 
     #[test]
     fn hottest_orders_deterministically() {
-        let mut w = WearTracker::new();
-        w.record(64);
-        w.record(64);
-        w.record(0);
-        w.record(0);
-        w.record(128);
+        let w = tracker(&[(0, 2), (64, 2), (128, 1)]);
         assert_eq!(w.hottest(2), vec![(0, 2), (64, 2)]);
         assert_eq!(w.hottest(10).len(), 3);
     }
 
     #[test]
     fn range_attribution() {
-        let mut w = WearTracker::new();
-        w.record(0);
-        w.record(64);
-        w.record(1024);
+        let w = tracker(&[(0, 1), (64, 1), (1024, 1)]);
         assert_eq!(w.writes_in_range(0, 2), 2);
         assert_eq!(w.writes_in_range(0, 17), 3);
         assert_eq!(w.writes_in_range(1024, 1), 1);
+        assert_eq!(w.writes_in_range(2048, 4), 0);
     }
 
     #[test]
-    fn histogram_and_reset() {
-        let mut w = WearTracker::new();
-        for i in 0..10u64 {
-            for _ in 0..=i {
-                w.record(i * 64);
-            }
-        }
-        let h = w.histogram();
+    fn histogram_of_counts() {
+        let blocks: Vec<(u64, u64)> = (0..10u64).map(|i| (i * 64, i + 1)).collect();
+        let h = WearTracker::from_sorted(blocks).histogram();
         assert_eq!(h.count(), 10);
         assert_eq!(h.max(), Some(10));
-        w.reset();
-        assert_eq!(w.total_writes(), 0);
     }
 }

@@ -73,7 +73,7 @@ pub use power::{PowerFailure, WriteFate};
 pub use resource::{BankSet, Completion, Resource};
 pub use schedule::{SlotBankSet, SlotResource};
 pub use shards::EpisodeShards;
-pub use stats::{Histogram, Stats};
+pub use stats::{Histogram, KindCounters, Stats};
 pub use trace::{
     chrome_trace_json, critical_path, resource_usage, CriticalPathShare, CriticalPathSummary,
     MemorySink, NullSink, Probe, ResourceUsage, TraceEvent, TraceSink,

@@ -25,6 +25,54 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CounterId(u32);
 
+/// Cached [`CounterId`]s for the `{prefix}{kind}` counters of one
+/// [`Stats`] registry, for call sites that attribute every operation to
+/// a request kind (`mem.write.data`, `macop.verify_tree`, …).
+///
+/// Kinds are `&'static str` literals, so the cache is keyed by the
+/// literal's address and length: a hit is one pointer-sized hash probe,
+/// with no key concatenation and no string hashing. A literal seen for
+/// the first time is interned by name, so two distinct literals with
+/// equal text resolve to the same counter. Like the ids it holds, a
+/// cache belongs to one registry and stays valid across
+/// [`Stats::clear`].
+///
+/// ```
+/// use horus_sim::{KindCounters, Stats};
+/// let mut s = Stats::new();
+/// let mut reads = KindCounters::new("mem.read.");
+/// reads.incr(&mut s, "tree");
+/// reads.incr(&mut s, "tree");
+/// assert_eq!(s.get("mem.read.tree"), 2);
+/// ```
+#[derive(Debug, Clone)]
+pub struct KindCounters {
+    prefix: &'static str,
+    ids: FxHashMap<(usize, usize), CounterId>,
+}
+
+impl KindCounters {
+    /// An empty cache for the counters named `{prefix}{kind}`.
+    #[must_use]
+    pub fn new(prefix: &'static str) -> Self {
+        Self {
+            prefix,
+            ids: FxHashMap::default(),
+        }
+    }
+
+    /// Increments `{prefix}{kind}` in `stats`, the registry this cache
+    /// serves.
+    pub fn incr(&mut self, stats: &mut Stats, kind: &'static str) {
+        let prefix = self.prefix;
+        let id = *self
+            .ids
+            .entry((kind.as_ptr() as usize, kind.len()))
+            .or_insert_with(|| stats.counter_id(&format!("{prefix}{kind}")));
+        stats.incr_id(id);
+    }
+}
+
 /// A registry of named monotonic counters.
 ///
 /// Names are interned on first touch: the registry maps each distinct
@@ -181,28 +229,6 @@ impl Stats {
     /// Increments the counter `key` by one.
     pub fn incr(&mut self, key: &str) {
         self.add(key, 1);
-    }
-
-    /// Adds `n` to the counter named `{prefix}{suffix}` without
-    /// allocating the concatenation (the per-operation shape of the
-    /// memory system's `mem.read.{kind}` counters).
-    pub fn add_pair(&mut self, prefix: &str, suffix: &str, n: u64) {
-        let total = prefix.len() + suffix.len();
-        let mut buf = [0u8; 96];
-        if total <= buf.len() {
-            buf[..prefix.len()].copy_from_slice(prefix.as_bytes());
-            buf[prefix.len()..total].copy_from_slice(suffix.as_bytes());
-            let key = std::str::from_utf8(&buf[..total]).expect("concatenation of two strs");
-            self.add(key, n);
-        } else {
-            self.add(&format!("{prefix}{suffix}"), n);
-        }
-    }
-
-    /// Increments the counter named `{prefix}{suffix}` by one, without
-    /// allocating the concatenation.
-    pub fn incr_pair(&mut self, prefix: &str, suffix: &str) {
-        self.add_pair(prefix, suffix, 1);
     }
 
     /// Reads a counter; absent counters read as zero.
@@ -695,17 +721,31 @@ mod tests {
     }
 
     #[test]
-    fn pair_counters_match_concatenation() {
+    fn kind_counters_resolve_each_literal_once() {
         let mut s = Stats::new();
-        s.incr_pair("mem.read.", "data");
-        s.add_pair("mem.read.", "data", 2);
-        s.add("mem.read.data", 1);
-        assert_eq!(s.get("mem.read.data"), 4);
-        assert_eq!(s.len(), 1, "pair and concatenated forms share a counter");
-        // Oversized keys fall back to allocation but still count.
-        let long = "k".repeat(200);
-        s.add_pair("prefix.", &long, 7);
-        assert_eq!(s.get(&format!("prefix.{long}")), 7);
+        let mut writes = KindCounters::new("mem.write.");
+        writes.incr(&mut s, "data");
+        writes.incr(&mut s, "data");
+        writes.incr(&mut s, "tree");
+        assert_eq!(s.get("mem.write.data"), 2);
+        assert_eq!(s.get("mem.write.tree"), 1);
+        s.clear();
+        writes.incr(&mut s, "data");
+        assert_eq!(s.get("mem.write.data"), 1, "cached ids survive clear");
+        assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn distinct_literals_with_equal_text_share_a_counter() {
+        let mut s = Stats::new();
+        let mut writes = KindCounters::new("mem.write.");
+        let copy: &'static str = Box::leak(String::from("data").into_boxed_str());
+        assert!(!std::ptr::eq(copy, "data"), "two distinct literals");
+        writes.incr(&mut s, "data");
+        writes.incr(&mut s, copy);
+        s.incr("mem.write.data");
+        assert_eq!(s.get("mem.write.data"), 3);
+        assert_eq!(s.len(), 1, "one counter behind both literals");
     }
 
     #[test]

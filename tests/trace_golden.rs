@@ -16,14 +16,6 @@ fn spec(scheme: DrainScheme) -> JobSpec {
     )
 }
 
-/// Is this build's serde_json the real implementation? The offline
-/// stub renders via `Debug` (`None` instead of `null`) and ignores
-/// `skip_serializing_if`; assertions about the real wire shape only
-/// run under the real implementation.
-fn serde_honors_skip() -> bool {
-    serde_json::to_string(&None::<u8>).expect("serialize") == "null"
-}
-
 #[test]
 fn same_seeded_drain_emits_byte_identical_trace_json() {
     let (_, trace_a) = spec(DrainScheme::HorusSlm).execute_traced();
@@ -76,11 +68,9 @@ fn unprobed_reports_match_pre_probe_output() {
         // its encoding is exactly the pre-probe one.
         assert!(plain.drain.utilization.is_none(), "{scheme}");
         assert!(plain.drain.critical_path.is_none(), "{scheme}");
-        if serde_honors_skip() {
-            let json = serde_json::to_string(&plain.drain).expect("serialize");
-            assert!(!json.contains("utilization"), "{scheme}");
-            assert!(!json.contains("critical_path"), "{scheme}");
-        }
+        let json = serde_json::to_string(&plain.drain).expect("serialize");
+        assert!(!json.contains("utilization"), "{scheme}");
+        assert!(!json.contains("critical_path"), "{scheme}");
     }
 }
 
