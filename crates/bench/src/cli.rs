@@ -12,8 +12,9 @@
 //! --metrics-addr A  serve live Prometheus text on A (e.g. 127.0.0.1:9464)
 //! --dashboard       render the live TTY telemetry panel on stderr
 //! --obs-out FILE    write the end-of-run obs summary JSON to FILE
-//! --fleet ADDR      submit sweeps to the fleet coordinator at ADDR instead
-//!                   of the local pool (output stays byte-identical)
+//! --service ADDR    submit sweeps to the `horus-cli serve` daemon at ADDR
+//!                   instead of the local pool (output stays byte-identical)
+//! --service-tenant NAME  submit under tenant NAME (with --service)
 //! --span-out FILE   write a Chrome-trace JSON of per-job lifecycle spans
 //!                   (queued → leased → executing → pushed → committed)
 //! --sim-threads N   shard independent episodes over N simulation worker
@@ -39,7 +40,6 @@
 //! `--out` for its snapshot path) without forking the parser.
 
 use horus_core::{DrainScheme, SystemConfig};
-use horus_fleet::FleetBackend;
 use horus_harness::{Harness, HarnessOptions, JobSpec, ProgressMode, SweepBackend};
 use horus_obs::{log, ObsOptions, ObsSession};
 use horus_service::ServiceBackend;
@@ -69,8 +69,6 @@ pub struct HarnessArgs {
     pub dashboard: bool,
     /// `--obs-out FILE`.
     pub obs_out: Option<PathBuf>,
-    /// `--fleet ADDR`.
-    pub fleet: Option<String>,
     /// `--service ADDR`.
     pub service: Option<String>,
     /// `--service-tenant NAME`.
@@ -88,7 +86,7 @@ pub struct HarnessArgs {
 /// The usage string fragment for the shared flags.
 pub const HARNESS_USAGE: &str = "[--jobs N] [--cache-dir DIR] [--no-cache] [--progress] \
      [--quick] [--trace-out FILE] [--metrics-addr ADDR] [--dashboard] [--obs-out FILE] \
-     [--fleet ADDR] [--service ADDR] [--service-tenant NAME] [--span-out FILE] \
+     [--service ADDR] [--service-tenant NAME] [--span-out FILE] \
      [--sim-threads N] [--log-level LVL] [--log-json]";
 
 impl HarnessArgs {
@@ -147,10 +145,6 @@ impl HarnessArgs {
                     let v = it.next().ok_or("--obs-out requires a value")?;
                     args.obs_out = Some(PathBuf::from(v));
                 }
-                "--fleet" => {
-                    let v = it.next().ok_or("--fleet requires a value")?;
-                    args.fleet = Some(v);
-                }
                 "--service" => {
                     let v = it.next().ok_or("--service requires a value")?;
                     args.service = Some(v);
@@ -181,9 +175,6 @@ impl HarnessArgs {
                 "--log-json" => args.log_json = true,
                 other => return Err(format!("unknown flag '{other}' ({HARNESS_USAGE})")),
             }
-        }
-        if args.fleet.is_some() && args.service.is_some() {
-            return Err("--fleet and --service are mutually exclusive backends".to_string());
         }
         if args.service_tenant.is_some() && args.service.is_none() {
             return Err("--service-tenant requires --service".to_string());
@@ -230,17 +221,13 @@ impl HarnessArgs {
         })
     }
 
-    /// The remote execution backend these flags select: a fleet
-    /// coordinator (`--fleet`), a `horus-cli serve` daemon
-    /// (`--service`, optionally submitting as `--service-tenant`), or
-    /// none — the local pool. Both backends keep the harness's
-    /// determinism contract, so a binary's output is byte-identical
-    /// wherever its sweeps ran.
+    /// The remote execution backend these flags select: a
+    /// `horus-cli serve` daemon (`--service`, optionally submitting as
+    /// `--service-tenant`), or none — the local pool. The backend keeps
+    /// the harness's determinism contract, so a binary's output is
+    /// byte-identical wherever its sweeps ran.
     #[must_use]
     pub fn backend(&self) -> Option<Arc<dyn SweepBackend>> {
-        if let Some(addr) = &self.fleet {
-            return Some(Arc::new(FleetBackend::new(addr.clone())));
-        }
         self.service.as_ref().map(|addr| {
             let mut backend = ServiceBackend::new(addr.clone());
             if let Some(tenant) = &self.service_tenant {
@@ -465,8 +452,7 @@ mod tests {
     }
 
     #[test]
-    fn backend_flags_are_exclusive_and_select_correctly() {
-        assert!(parse(&["--fleet", "h:1", "--service", "h:2"]).is_err());
+    fn service_backend_flags_select_correctly() {
         assert!(parse(&["--service-tenant", "team-a"]).is_err());
         let a =
             parse(&["--service", "127.0.0.1:9900", "--service-tenant", "team-a"]).expect("valid");
@@ -475,12 +461,6 @@ mod tests {
             backend.describe(),
             "service at 127.0.0.1:9900 (tenant team-a)"
         );
-        let a = parse(&["--fleet", "127.0.0.1:9470"]).expect("valid");
-        assert!(a
-            .backend()
-            .expect("fleet backend")
-            .describe()
-            .contains("fleet"));
         assert!(parse(&[]).expect("empty").backend().is_none());
     }
 
@@ -616,15 +596,19 @@ mod tests {
     }
 
     #[test]
-    fn fleet_flag_parses_and_attaches_the_backend() {
-        let a = parse(&["--fleet", "127.0.0.1:9470"]).expect("valid");
-        assert_eq!(a.fleet.as_deref(), Some("127.0.0.1:9470"));
-        assert!(parse(&["--fleet"]).is_err());
+    fn service_flag_parses_and_attaches_the_backend() {
+        let a = parse(&["--service", "127.0.0.1:9900"]).expect("valid");
+        assert_eq!(a.service.as_deref(), Some("127.0.0.1:9900"));
+        assert!(parse(&["--service"]).is_err());
         // The backend is attached but untouched until a sweep runs, so
-        // building the harness needs no live coordinator.
+        // building the harness needs no live daemon.
         let h = a.harness();
-        assert!(format!("{h:?}").contains("fleet coordinator at 127.0.0.1:9470"));
-        assert!(parse(&[]).expect("valid").fleet.is_none());
+        assert!(format!("{h:?}").contains("service at 127.0.0.1:9900"));
+        assert!(parse(&[]).expect("valid").service.is_none());
+        assert!(
+            parse(&["--fleet", "127.0.0.1:9470"]).is_err(),
+            "unknown flag"
+        );
     }
 
     #[test]

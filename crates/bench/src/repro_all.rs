@@ -490,61 +490,65 @@ exposition text, and uploads `obs-summary.json` as an artifact; the
 `BENCH_smoke.json` informationally (pass `--gate-host-profile` to
 fail on >50% regressions).
 
-## Distributing a sweep — coordinator plus two local workers
+## Distributing a sweep — one service plus two workers
 
-`--jobs N` scales a sweep to one machine's cores; `--fleet ADDR`
-scales it to as many machines as will connect, with the merged output
-still byte-identical to the local run (see ARCHITECTURE.md, "Fleet").
-Terminal 1, the coordinator — it owns the job queue, the plan journal,
-and the authoritative result cache:
+`--jobs N` scales a sweep to one machine's cores; the experiment
+service scales it to as many machines as will connect, with the merged
+output still byte-identical to the local run (see ARCHITECTURE.md,
+"Fleet"). Terminal 1, the service — it owns the job queue, the plan
+journal, and the authoritative result cache; `--jobs 0` gives it no
+local pool, so every job goes to a worker:
 
 ```
-cargo run --release --bin horus-cli -- fleet-coordinator \
-    --addr 127.0.0.1:9470 --cache-dir fleet-cache
-# fleet: coordinator listening on 127.0.0.1:9470 (lease 30.0s)
+cargo run --release --bin horus-cli -- serve \
+    --addr 127.0.0.1:9470 --jobs 0 --cache-dir fleet-cache
+# serve: experiment API on http://127.0.0.1:9470/v1/jobs (2 runner(s), no local pool: remote workers only, tenants: anonymous)
 ```
 
-Terminals 2 and 3, one worker each. A worker registers, leases job
-batches up to its pool width, executes them on the same panic-isolated
-harness pool a local sweep uses, and pushes each outcome (plus its
-host profile) back:
+Terminals 2 and 3, one worker each. A worker registers over HTTP,
+leases job batches up to its pool width, executes them on the same
+panic-isolated harness pool a local sweep uses, and pushes each
+outcome (plus its host profile) back:
 
 ```
 cargo run --release --bin horus-cli -- fleet-worker \
     --connect 127.0.0.1:9470 --jobs 2 --name worker-a
 ```
 
-Terminal 4, the submitter — any harness caller with `--fleet`:
+Terminal 4, the submitter — any harness caller with `--service`:
 
 ```
 cargo run --release --bin horus-cli -- sweep --llc 8,16,32 --json \
-    --fleet 127.0.0.1:9470
+    --service 127.0.0.1:9470
 ```
 
-The submitter blocks until the coordinator has merged the whole plan,
+The submitter blocks until the service has merged the whole plan,
 then renders exactly what the local command would have: `diff` the
-output of `sweep --llc 8,16,32 --json --jobs 2` against the fleet run
-and you get zero bytes of difference (the CI `fleet-smoke` job does
-precisely this on every push). Re-submit the same sweep and the
-coordinator answers from its cache at submit time — `0 executed, 15
-cache hits` — without any worker seeing a job. The same `--fleet`
-flag works on every `repro-*` binary, so `repro-all --fleet ADDR`
-distributes the paper's full figure set.
+output of `sweep --llc 8,16,32 --json --jobs 2` against the
+distributed run and you get zero bytes of difference (the CI
+`fleet-smoke` job does precisely this on every push). Re-submit the
+same sweep and the service answers at once from the committed plan,
+without any worker seeing a job. The same `--service` flag works on
+every `repro-*` binary, so `repro-all --service ADDR` distributes the
+paper's full figure set. Leave out `--jobs 0` and the service's own
+runners execute alongside the workers, leasing from the same queue.
+`curl -X POST http://127.0.0.1:9470/v1/shutdown` drains the service;
+the workers hear it is done and exit.
 
 Fault tolerance is the point of the lease machinery: kill a worker
-mid-sweep (Ctrl-C it) and its leased jobs requeue after the lease
-expires (default 30 s, tune with `--lease-secs`), the surviving
-worker finishes them, and the merged output is still byte-identical.
-A live worker never trips this: it heartbeats lease renewals from a
-side connection while its pool is busy, so jobs longer than the lease
-are safe and `--lease-secs` only bounds how fast a *dead* worker's
-jobs come back — `crates/fleet/tests/fleet_e2e.rs` enforces exactly
-this scenario, plus coordinator restart via the plan journal
-(`fleet-coordinator --resume`). With `--metrics-addr` on the
-coordinator, the `horus_fleet_workers`,
+mid-sweep (Ctrl-C it) and its leased jobs requeue once the lease
+expires (30 s; `"lease_ms"` in the `--tenant-config` file), the
+surviving worker finishes them, and the merged output is still
+byte-identical. A live worker never trips this: it renews its batch
+from a heartbeat thread while its pool is busy, so jobs longer than
+the lease are safe and the lease only bounds how fast a *dead*
+worker's jobs come back — `crates/service/tests/fleet_e2e.rs`
+enforces exactly this scenario, plus a service restart: with a
+`--cache-dir`, unfinished plans are journaled and the next `serve`
+resumes them. The `horus_fleet_workers`,
 `horus_fleet_leases_in_flight`, and `horus_fleet_requeues_total`
-families make the whole lifecycle visible on the dashboard or a
-Prometheus scrape.
+families on the service's `/metrics` make the whole lifecycle
+visible on the dashboard or a Prometheus scrape.
 
 ## Tracing the fleet — job lifecycle spans and structured logs
 
@@ -552,59 +556,54 @@ The drain-episode probe above traces *inside* one simulated episode;
 `horus-span` traces the *job around it* as it moves through the fleet:
 queued → leased → executing → pushed → committed, one timeline across
 every host (see ARCHITECTURE.md, "Fleet tracing & logging"). Run the
-2-worker fleet from the previous section, but give the coordinator a
-metrics endpoint and a span artifact:
+2-worker setup from the previous section, but give the service a span
+artifact:
 
 ```
-cargo run --release --bin horus-cli -- fleet-coordinator \
-    --addr 127.0.0.1:9470 --cache-dir fleet-cache \
-    --metrics-addr 127.0.0.1:9464 --span-out fleet-spans.json
+cargo run --release --bin horus-cli -- serve \
+    --addr 127.0.0.1:9470 --jobs 0 --cache-dir fleet-cache \
+    --span-out fleet-spans.json
 ```
 
-start the two workers and submit `sweep --llc 8,16 --json --fleet
-127.0.0.1:9470` exactly as before, then pull the assembled timeline
-from any terminal:
+start the two workers, submit `sweep --llc 8,16 --json --service
+127.0.0.1:9470` exactly as before, and `POST /v1/shutdown`: the
+service writes `fleet-spans.json` as it exits.
+
+`fleet-spans.json` is Chrome-trace JSON from the same writer as the
+drain probe's export: drop it on [Perfetto](https://ui.perfetto.dev)
+(or `chrome://tracing`) and each worker is a track, each job five
+spans — queue wait, lease-to-execute gap, execution, push, commit.
+Worker clocks are normalized to the service's clock from the
+registration round trip, so cross-host spans line up on one timeline;
+stamps are clamped per-job-monotonic at render. The same stage
+durations feed `horus_fleet_job_stage_seconds{stage=...}` histograms
+on the scrape, the dashboard's `stage mean` line, and
+`obs-summary.json`, and `GET /v1/jobs/{id}` derives each plan's stage
+stamps from its jobs' spans.
+
+The fleet's diagnostics are structured, too: every service and worker
+event (registration, plan admission/resume, journal failures, drain)
+goes through `horus_obs::log` — leveled, with typed fields, the last
+1024 lines served as NDJSON at the listener's `/logs` route (liveness
+at `/healthz`, readiness at `/readyz`):
 
 ```
-cargo run --release --bin horus-cli -- fleet-trace \
-    --connect 127.0.0.1:9470 --out fleet-trace.json
-# fleet-trace: 10 span(s) from 127.0.0.1:9470 (10 complete)
-```
-
-`fleet-trace.json` is Chrome-trace JSON in the same shape as the drain
-probe's export: drop it on [Perfetto](https://ui.perfetto.dev) (or
-`chrome://tracing`) and each worker is a track, each job five spans —
-queue wait, lease-to-execute gap, execution, push, commit. Worker
-clocks are normalized to the coordinator's clock from the
-`Hello`/`Welcome` round trip, so cross-host spans line up on one
-timeline; stamps are clamped per-job-monotonic at render. The same
-stage durations feed `horus_fleet_job_stage_seconds{stage=...}`
-histograms on the scrape, the dashboard's `stage mean` line, and
-`obs-summary.json`.
-
-The fleet's diagnostics are structured now, too: every coordinator and
-worker event (registration, plan submit/resume, journal failures,
-drain) goes through `horus_obs::log` — leveled, with typed fields, the
-last 1024 lines served as NDJSON at the endpoint's `/logs` route
-(liveness at `/healthz`, readiness at `/readyz`):
-
-```
-$ curl -s http://127.0.0.1:9464/logs | head -2
-{"ts_ms":…,"seq":0,"level":"info","target":"fleet","msg":"worker registered","fields":{"worker":"0","name":"worker-a","jobs":"2"}}
-{"ts_ms":…,"seq":1,"level":"info","target":"fleet","msg":"plan submitted","fields":{"plan":"0","jobs":"10","cached":"0"}}
+$ curl -s http://127.0.0.1:9470/logs | head -2
+{"ts_ms":…,"seq":0,"level":"info","target":"service","msg":"worker registered","fields":{"worker":"0","name":"worker-a","jobs":"2"}}
+{"ts_ms":…,"seq":1,"level":"info","target":"service","msg":"submission admitted","fields":{"job":"0","tenant":"anonymous","key":"…","deduped":"false","trace_id":"…"}}
 ```
 
 `--log-level debug|info|warn|error` sets the threshold and `--log-json`
 mirrors the NDJSON to stderr (the human-readable form is the default).
-Local sweeps trace the same way without any fleet: `--span-out` on any
-`repro-*` binary or `horus-cli sweep` stamps the five stages on the
-local pool (workers named `local-N`) and writes the same Perfetto
+Local sweeps trace the same way without any service: `--span-out` on
+any `repro-*` binary or `horus-cli sweep` stamps the five stages on
+the local pool (workers named `local-N`) and writes the same Perfetto
 timeline at exit. Spans are observe-only: with the flags off, outputs
 are byte-identical to a span-free build, and the stage histograms are
 excluded from the deterministic scrape subset by name. The CI
 `fleet-smoke` job runs this exact 2-worker recipe, asserts every
 committed job carries all five stages monotonically, probes `/healthz`
-and `/logs`, and uploads `fleet-trace.json` as an artifact.
+and `/logs`, and uploads `fleet-spans.json` as an artifact.
 
 ## Benchmarking the simulator itself
 
@@ -630,8 +629,9 @@ cargo run --release -p horus-bench --bin bench-gate -- --update
 expect the committed number to move whenever the baseline is refreshed
 on different hardware; the 25% band plus regressions-only comparison
 is what makes that safe. And `tests/perf_floor.rs` (release-only,
-ignored in debug) asserts the simulator retires at least 2e7 simulated
-cycles per wall second — a floor more than 10x below a healthy release
-build, so it only trips on catastrophic regressions like an accidental
-debug-profile bench job or a quadratic hot path.
+ignored in debug) asserts the simulator retires at least 2e8 simulated
+cycles per wall second — roughly half the single-threaded release rate
+after the AES-NI speedup, so it only trips on real regressions like an
+accidental debug-profile bench job, a quadratic hot path, or losing
+the hardware-AES dispatch.
 "#;

@@ -66,6 +66,4 @@ pub use cache::ResultCache;
 pub use job::{JobResult, JobSpec};
 pub use pool::{run_indexed, run_indexed_workers};
 pub use progress::{ProgressEvent, ProgressMode};
-pub use sweep::{
-    Harness, HarnessError, HarnessOptions, JobOutcome, Submission, SweepBackend, SweepReport,
-};
+pub use sweep::{Harness, HarnessError, HarnessOptions, JobOutcome, SweepBackend, SweepReport};

@@ -12,7 +12,7 @@ use horus_sim::Stats;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A remote executor for whole sweeps.
@@ -25,8 +25,9 @@ use std::time::Duration;
 /// local run of the same specs, so callers cannot tell (from the
 /// report) where the simulations happened.
 ///
-/// `horus-fleet` provides the TCP coordinator/worker implementation;
-/// the trait lives here so the harness does not depend on it.
+/// `horus-service` provides `ServiceBackend`, which submits to a running
+/// `horus-cli serve` daemon; the trait lives here so the harness does
+/// not depend on it.
 pub trait SweepBackend: Send + Sync {
     /// Executes `specs` remotely, returning one outcome per spec in
     /// submission order.
@@ -34,7 +35,7 @@ pub trait SweepBackend: Send + Sync {
     /// # Errors
     ///
     /// Returns a message describing why the sweep could not be
-    /// dispatched (unreachable coordinator, protocol error). The
+    /// dispatched (unreachable service, protocol error). The
     /// harness converts a backend error into one `Panicked` outcome
     /// per job so reports keep their shape.
     fn run_specs(&self, specs: &[JobSpec]) -> Result<Vec<JobOutcome>, String>;
@@ -63,6 +64,10 @@ pub trait SweepBackend: Send + Sync {
 #[derive(Clone, Default)]
 pub struct HarnessOptions {
     /// Worker threads; `None` uses [`std::thread::available_parallelism`].
+    /// `Some(0)` declares that the process hosts no local pool:
+    /// [`Harness::jobs`] reports 0, which a daemon hosting the harness
+    /// (the `horus-service` runners) reads as "leave execution to
+    /// remote workers". Direct runs still execute, on one thread.
     pub jobs: Option<usize>,
     /// Result-cache directory; `None` uses
     /// [`crate::cache::DEFAULT_CACHE_DIR`].
@@ -76,13 +81,14 @@ pub struct HarnessOptions {
     pub metrics: Option<Arc<Registry>>,
     /// Remote sweep executor. When set, [`Harness::run`] dispatches
     /// specs through it instead of the local pool (the local result
-    /// cache is not consulted — the backend owns memoization).
+    /// cache is not consulted — the backend owns memoization). The one
+    /// implementation is `horus_service::ServiceBackend`, which
+    /// submits each sweep as a plan to a `horus-cli serve` daemon.
     pub backend: Option<Arc<dyn SweepBackend>>,
     /// Span collector for per-job lifecycle traces. Local sweeps stamp
     /// all five stages (each `run` call is one plan, workers named
-    /// `local-N`); remote sweeps stamp nothing — the fleet coordinator
-    /// owns the cross-host timeline. `None` (the default) stamps
-    /// nothing.
+    /// `local-N`); remote sweeps stamp nothing — the service owns the
+    /// cross-host timeline. `None` (the default) stamps nothing.
     pub spans: Option<Arc<SpanBook>>,
 }
 
@@ -133,7 +139,7 @@ impl Harness {
     /// Builds a harness from options.
     #[must_use]
     pub fn new(options: HarnessOptions) -> Self {
-        let jobs = options.jobs.unwrap_or_else(default_parallelism).max(1);
+        let jobs = options.jobs.unwrap_or_else(default_parallelism);
         let cache = if options.no_cache {
             None
         } else {
@@ -175,10 +181,16 @@ impl Harness {
         Self::with_jobs(1)
     }
 
-    /// Worker-thread count.
+    /// Worker-thread count: 0 for a harness built with `jobs: Some(0)`
+    /// (see [`HarnessOptions::jobs`]).
     #[must_use]
     pub fn jobs(&self) -> usize {
         self.jobs
+    }
+
+    /// Threads a run actually uses: [`Harness::jobs`], at least one.
+    fn pool(&self) -> usize {
+        self.jobs.max(1)
     }
 
     /// The result cache, when enabled.
@@ -220,7 +232,7 @@ impl Harness {
     /// are byte-identical either way.
     #[must_use]
     pub fn run(&self, specs: &[JobSpec]) -> SweepReport {
-        self.run_counted(specs, None, None)
+        self.run_counted(specs, None)
     }
 
     /// [`Harness::run`] under a caller-supplied correlation trace id:
@@ -232,59 +244,11 @@ impl Harness {
     /// telemetry attached the sweep stays completely untraced.
     #[must_use]
     pub fn run_traced(&self, specs: &[JobSpec], trace: Option<&str>) -> SweepReport {
-        self.run_counted(specs, None, trace)
+        self.run_counted(specs, trace)
     }
 
-    /// Starts a sweep on a background thread and returns a handle for
-    /// polling its progress — the async shape `horus-service` needs to
-    /// answer status requests while a plan executes. The submission
-    /// runs through exactly the same path as [`Harness::run`], so its
-    /// report (and the cache it fills) is byte-identical to a blocking
-    /// run of the same specs.
-    #[must_use]
-    pub fn submit(self: &Arc<Self>, specs: Vec<JobSpec>) -> Arc<Submission> {
-        self.submit_traced(specs, None)
-    }
-
-    /// [`Harness::submit`] under a caller-supplied correlation trace id
-    /// — the async twin of [`Harness::run_traced`]. `horus-service`
-    /// uses this so the trace minted at admission follows the plan into
-    /// spans, profiles, and (with a fleet backend) the wire protocol.
-    #[must_use]
-    pub fn submit_traced(
-        self: &Arc<Self>,
-        specs: Vec<JobSpec>,
-        trace: Option<String>,
-    ) -> Arc<Submission> {
-        let submission = Arc::new(Submission {
-            total: specs.len(),
-            done: AtomicUsize::new(0),
-            report: Mutex::new(None),
-            finished: Condvar::new(),
-        });
-        let harness = Arc::clone(self);
-        let handle = Arc::clone(&submission);
-        std::thread::Builder::new()
-            .name("horus-submission".to_string())
-            .spawn(move || {
-                let report = harness.run_counted(&specs, Some(&handle.done), trace.as_deref());
-                let mut slot = handle.report.lock().expect("submission poisoned");
-                *slot = Some(report);
-                handle.finished.notify_all();
-            })
-            .expect("spawn submission thread");
-        submission
-    }
-
-    /// [`Harness::run`] with an optional live progress counter that the
-    /// pool bumps per finished job (and pins to `specs.len()` once the
-    /// report exists, whichever path executed).
-    fn run_counted(
-        &self,
-        specs: &[JobSpec],
-        live_done: Option<&AtomicUsize>,
-        trace: Option<&str>,
-    ) -> SweepReport {
+    /// The body of [`Harness::run_traced`].
+    fn run_counted(&self, specs: &[JobSpec], trace: Option<&str>) -> SweepReport {
         // Auto-mint a per-sweep trace when telemetry is attached but the
         // caller supplied none, so batch invocations self-correlate.
         // Without telemetry there is nothing to correlate — stay
@@ -298,26 +262,17 @@ impl Harness {
             }
             _ => None,
         };
-        let report = if let Some(backend) = self.backend.clone() {
+        if let Some(backend) = self.backend.clone() {
             self.run_remote(&*backend, specs, trace)
         } else {
-            self.run_local(specs, live_done, trace)
-        };
-        if let Some(counter) = live_done {
-            counter.store(specs.len(), Ordering::Relaxed);
+            self.run_local(specs, trace)
         }
-        report
     }
 
-    fn run_local(
-        &self,
-        specs: &[JobSpec],
-        live_done: Option<&AtomicUsize>,
-        trace: Option<&str>,
-    ) -> SweepReport {
+    fn run_local(&self, specs: &[JobSpec], trace: Option<&str>) -> SweepReport {
         let progress = Progress::start(self.progress);
         let mut start = ProgressEvent::new("sweep_start", specs.len());
-        start.workers = Some(self.jobs);
+        start.workers = Some(self.pool());
         progress.emit(start);
 
         let metrics = self
@@ -325,7 +280,7 @@ impl Harness {
             .as_ref()
             .map(|r| SweepMetrics::new(Arc::clone(r)));
         if let Some(m) = &metrics {
-            m.sweep_begin(specs.len(), self.jobs.clamp(1, specs.len().max(1)));
+            m.sweep_begin(specs.len(), self.pool().min(specs.len().max(1)));
         }
 
         let done = AtomicUsize::new(0);
@@ -353,7 +308,7 @@ impl Harness {
             }
         }
 
-        let raw = run_indexed_workers(specs.len(), self.jobs, |worker, i| {
+        let raw = run_indexed_workers(specs.len(), self.pool(), |worker, i| {
             let spec = &specs[i];
             if let Some(book) = &self.spans {
                 let track = format!("local-{worker}");
@@ -396,9 +351,6 @@ impl Harness {
                 cached.fetch_add(1, Ordering::Relaxed);
             }
             let now_done = done.fetch_add(1, Ordering::Relaxed) + 1;
-            if let Some(counter) = live_done {
-                counter.fetch_add(1, Ordering::Relaxed);
-            }
             let mut event = ProgressEvent::new("job", specs.len());
             event.done = now_done;
             event.cached = cached.load(Ordering::Relaxed);
@@ -682,9 +634,9 @@ impl Harness {
             .as_ref()
             .map(|r| SweepMetrics::new(Arc::clone(r)));
         if let Some(m) = &metrics {
-            m.sweep_begin(total, self.jobs.clamp(1, total.max(1)));
+            m.sweep_begin(total, self.pool().min(total.max(1)));
         }
-        let out = run_indexed_workers(total, self.jobs, |worker, i| {
+        let out = run_indexed_workers(total, self.pool(), |worker, i| {
             let profiler = metrics.as_ref().map(|m| {
                 m.started.inc();
                 JobProfiler::start(format!("task-{i}"), None)
@@ -745,57 +697,6 @@ pub enum JobOutcome {
         /// The panic payload's message.
         message: String,
     },
-}
-
-/// A handle to an asynchronously running sweep, from
-/// [`Harness::submit`]. Poll [`Submission::done`] for live progress,
-/// [`Submission::report`] for a non-blocking result check, or
-/// [`Submission::wait`] to block until the sweep finishes.
-#[derive(Debug)]
-pub struct Submission {
-    total: usize,
-    done: AtomicUsize,
-    report: Mutex<Option<SweepReport>>,
-    finished: Condvar,
-}
-
-impl Submission {
-    /// Number of specs submitted.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Jobs finished so far (monotonic; equals [`Submission::total`]
-    /// once the report is available).
-    #[must_use]
-    pub fn done(&self) -> usize {
-        self.done.load(Ordering::Relaxed)
-    }
-
-    /// True once the report is available.
-    #[must_use]
-    pub fn is_finished(&self) -> bool {
-        self.report.lock().expect("submission poisoned").is_some()
-    }
-
-    /// The finished report, or `None` while the sweep is still running.
-    #[must_use]
-    pub fn report(&self) -> Option<SweepReport> {
-        self.report.lock().expect("submission poisoned").clone()
-    }
-
-    /// Blocks until the sweep finishes and returns its report.
-    #[must_use]
-    pub fn wait(&self) -> SweepReport {
-        let mut slot = self.report.lock().expect("submission poisoned");
-        loop {
-            if let Some(report) = slot.as_ref() {
-                return report.clone();
-            }
-            slot = self.finished.wait(slot).expect("submission poisoned");
-        }
-    }
 }
 
 /// A sweep's outcomes plus its execution accounting.
@@ -922,20 +823,13 @@ mod tests {
     }
 
     #[test]
-    fn submission_matches_blocking_run_and_counts_up() {
+    fn zero_jobs_reports_no_pool_and_still_runs_serially() {
         let specs = specs();
-        let blocking = Harness::serial().run(&specs);
-        let harness = Arc::new(Harness::with_jobs(2));
-        let submission = harness.submit(specs.clone());
-        assert_eq!(submission.total(), specs.len());
-        let report = submission.wait();
-        assert!(submission.is_finished());
-        assert_eq!(submission.done(), specs.len());
-        assert_eq!(report.outcomes, blocking.outcomes);
-        assert_eq!(
-            submission.report().expect("finished").outcomes,
-            report.outcomes
-        );
+        let harness = Harness::with_jobs(0);
+        assert_eq!(harness.jobs(), 0, "no local pool declared");
+        let report = harness.run(&specs);
+        assert_eq!(report.outcomes, Harness::serial().run(&specs).outcomes);
+        assert_eq!(report.executed, specs.len());
     }
 
     #[test]
@@ -1190,7 +1084,7 @@ mod tests {
 
     impl SweepBackend for FailingBackend {
         fn run_specs(&self, _specs: &[JobSpec]) -> Result<Vec<JobOutcome>, String> {
-            Err("coordinator unreachable".to_owned())
+            Err("service unreachable".to_owned())
         }
     }
 
@@ -1224,7 +1118,7 @@ mod tests {
         let err = report.results().unwrap_err();
         let HarnessError::JobPanicked { job, message } = err;
         assert_eq!(job, 0);
-        assert!(message.contains("coordinator unreachable"), "{message}");
+        assert!(message.contains("service unreachable"), "{message}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! throughput gauges, and a sparkline of memory-ops/s history. When the
 //! registry carries fleet stage-latency histograms
 //! (`horus_fleet_job_stage_seconds`, recorded by a span-collecting
-//! coordinator), a fifth line shows the mean latency per lifecycle
+//! experiment service), a fifth line shows the mean latency per lifecycle
 //! stage.
 
 use std::collections::VecDeque;

@@ -170,11 +170,20 @@ pub fn normalize_route(path: &str) -> &'static str {
         "/logs" => "/logs",
         "/v1/jobs" => "/v1/jobs",
         "/v1/shutdown" => "/v1/shutdown",
+        "/v1/workers" => "/v1/workers",
+        "/v1/leases" => "/v1/leases",
         _ => {
             if let Some(rest) = path.strip_prefix("/v1/jobs/") {
                 return match rest.split_once('/') {
                     None if !rest.is_empty() => "/v1/jobs/{id}",
                     Some((id, "result")) if !id.is_empty() => "/v1/jobs/{id}/result",
+                    _ => "other",
+                };
+            }
+            if let Some(rest) = path.strip_prefix("/v1/leases/") {
+                return match rest.split_once('/') {
+                    Some((id, "renew")) if !id.is_empty() => "/v1/leases/{id}/renew",
+                    Some((id, "push")) if !id.is_empty() => "/v1/leases/{id}/push",
                     _ => "other",
                 };
             }
@@ -212,7 +221,7 @@ impl MetricsServer {
     ///
     /// The server starts *ready* (a registry is attached by
     /// construction); callers whose readiness depends on more — the
-    /// fleet coordinator's accept loop, say — clear and re-set the flag
+    /// experiment service's runners, say — clear and re-set the flag
     /// with [`MetricsServer::set_ready`].
     ///
     /// # Errors
@@ -776,6 +785,12 @@ mod tests {
             ("/v1/tenants/team-a", "/v1/tenants/{tenant}"),
             ("/v1/tenants/team-a/x", "other"),
             ("/v1/shutdown", "/v1/shutdown"),
+            ("/v1/workers", "/v1/workers"),
+            ("/v1/leases", "/v1/leases"),
+            ("/v1/leases/3/renew", "/v1/leases/{id}/renew"),
+            ("/v1/leases/3/push", "/v1/leases/{id}/push"),
+            ("/v1/leases/3", "other"),
+            ("/v1/leases//push", "other"),
             ("/nope", "other"),
             ("", "other"),
         ] {

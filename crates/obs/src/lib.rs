@@ -23,7 +23,7 @@
 //!   artifact that CI uploads and `bench-gate` folds into its baseline.
 //! * [`span`] — per-job lifecycle spans
 //!   (queued → leased → executing → pushed → committed) assembled into a
-//!   cross-host Chrome-trace timeline (`--span-out`, `fleet-trace`).
+//!   cross-host Chrome-trace timeline (`--span-out`).
 //! * [`log`] — leveled structured line-delimited-JSON logging with an
 //!   in-memory ring served at `GET /logs` (`--log-level`, `--log-json`).
 //! * [`insight`] — the offline cross-signal analyzer behind
@@ -158,7 +158,7 @@ impl ObsSession {
     }
 
     /// The span collector, when `--span-out` asked for a timeline.
-    /// Hand it to the harness pool or the fleet coordinator; whatever
+    /// Hand it to the harness pool or the experiment service; whatever
     /// gets stamped into it is written at [`ObsSession::finish`].
     #[must_use]
     pub fn span_book(&self) -> Option<Arc<SpanBook>> {

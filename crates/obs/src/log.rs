@@ -11,8 +11,7 @@
 //!   buffer served at `GET /logs` by [`crate::http::MetricsServer`],
 //! * mirrors records to stderr — human-readable by default
 //!   (`target: message key=value ...`), raw JSON under `--log-json` —
-//!   so existing "watch the coordinator's stderr" workflows keep
-//!   working.
+//!   so existing "watch the daemon's stderr" workflows keep working.
 //!
 //! Like the rest of the obs stack it is observe-only: the line layout
 //! is fixed here (strings go through `serde_json::write_str`), the ring

@@ -76,20 +76,21 @@ pub const SIM_SAMPLE_COUNT: &str = "horus_sim_sample_count_total";
 /// Counter, labelled `sample`: summed values of mirrored
 /// `horus_sim::Stats` histograms (saturating at `u64::MAX`).
 pub const SIM_SAMPLE_SUM: &str = "horus_sim_sample_sum_total";
-/// Gauge: workers currently registered with the fleet coordinator.
+/// Gauge: live workers of the experiment service — its in-process
+/// runners plus remote workers heard from within one lease.
 /// All `horus_fleet_` families are scheduling-dependent (who leased
 /// what, when, and how often leases expired) and therefore excluded
 /// from deterministic snapshots by the prefix rule in [`crate::expo`].
 pub const FLEET_WORKERS: &str = "horus_fleet_workers";
-/// Gauge: job leases currently held by fleet workers.
+/// Gauge: job leases currently held by workers.
 pub const FLEET_LEASES_IN_FLIGHT: &str = "horus_fleet_leases_in_flight";
-/// Counter: expired leases returned to the fleet queue.
+/// Counter: expired leases returned to the service's job queue.
 pub const FLEET_REQUEUES: &str = "horus_fleet_requeues_total";
 /// Counter, labelled `worker`: jobs committed per fleet worker (the
-/// label is the coordinator-assigned worker id, bounded by the number
-/// of worker registrations in the coordinator's lifetime).
+/// label is the service-assigned worker id, bounded by the runner count
+/// plus the number of worker registrations in the service's lifetime).
 pub const FLEET_WORKER_JOBS: &str = "horus_fleet_worker_jobs_total";
-/// Counter: sweep plans fully merged by the fleet coordinator.
+/// Counter: plans fully merged by the service's job queue.
 pub const FLEET_PLANS: &str = "horus_fleet_plans_total";
 /// Duration histogram, labelled `stage`: per-stage job latency observed
 /// at commit time. The `stage` label is one of the five lifecycle

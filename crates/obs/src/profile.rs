@@ -17,6 +17,7 @@
 //! relaxed atomic increments per allocation. With the feature off,
 //! [`alloc_counts`] returns `None` and no allocator is installed.
 
+use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Assumed kernel clock tick rate (see the module docs).
@@ -106,7 +107,8 @@ pub fn host_profile(wall_seconds: f64) -> HostProfile {
 }
 
 /// Per-job resource usage, as recorded by the harness worker that ran it.
-#[derive(Debug, Clone, PartialEq)]
+/// Remote workers push it to the service in this serde form.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobProfile {
     /// Job content key, or a task label for non-`JobSpec` work.
     pub label: String,
@@ -114,6 +116,7 @@ pub struct JobProfile {
     pub scheme: Option<String>,
     /// Correlation trace id of the request or plan that enqueued the
     /// job ([`crate::span::mint_trace_id`]); `None` for untraced runs.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub trace: Option<String>,
     /// Whether the result came from the on-disk cache.
     pub cached: bool,

@@ -5,25 +5,25 @@
 //!
 //! ```text
 //! queued ──► leased ──► executing ──► pushed ──► committed
-//! (submit)   (coord)    (worker)      (worker)   (coord)
+//! (submit)   (service)  (worker)      (worker)   (service)
 //! ```
 //!
-//! A [`SpanBook`] is the collector: the coordinator (or a local harness
-//! pool) stamps each stage with a millisecond timestamp on the book's
-//! own monotonic clock ([`SpanBook::now_ms`]). Worker-side stamps are
-//! normalized to coordinator-relative time by the wire layer (the
-//! worker learns the coordinator's clock from the `Hello`/`Welcome`
-//! round trip and applies the offset before pushing), so one timeline
-//! spans every host in the fleet.
+//! A [`SpanBook`] is the collector: the experiment service (or a local
+//! harness pool) stamps each stage with a millisecond timestamp on the
+//! book's own monotonic clock ([`SpanBook::now_ms`]). Remote workers
+//! normalize their stamps to service-relative time before pushing (a
+//! worker learns the service clock from its registration round trip),
+//! so one timeline spans every host in the fleet.
 //!
-//! [`chrome_trace_json`] assembles the completed spans into the same
-//! Chrome-trace-event JSON shape `horus_sim::trace` emits — one track
-//! per worker, five `ph:"X"` events per job — so `chrome://tracing` and
+//! [`chrome_trace_json`] assembles the completed spans through the
+//! drain probe's own writer, [`horus_sim::trace::ChromeTrace`] — one
+//! track per worker, five `ph:"X"` events per job — so `chrome://tracing` and
 //! [Perfetto](https://ui.perfetto.dev) open fleet timelines exactly
 //! like drain timelines. Assembly is deterministic: spans sort by
 //! `(plan, job)`, tracks by name, and only complete (all five stages)
 //! jobs are emitted, so two identical books render byte-identical JSON.
 
+use horus_sim::trace::ChromeTrace;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,13 +67,13 @@ pub const STAGES: usize = 5;
 pub enum Stage {
     /// Enqueued by a plan submission, waiting for a lease.
     Queued = 0,
-    /// Handed to a worker by the coordinator.
+    /// Handed to a worker by the service.
     Leased = 1,
     /// The worker's pool started executing the spec.
     Executing = 2,
     /// The worker pushed the outcome back.
     Pushed = 3,
-    /// The coordinator committed the outcome.
+    /// The service committed the outcome.
     Committed = 4,
 }
 
@@ -110,9 +110,9 @@ impl Stage {
 /// One job's collected stage stamps.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpan {
-    /// The owning plan's coordinator-assigned id.
+    /// The owning plan's service-assigned id.
     pub plan: u64,
-    /// The job's coordinator-assigned slot id.
+    /// The job's service-assigned slot id.
     pub job: u64,
     /// The job's content key (`JobSpec::key`).
     pub key: String,
@@ -302,13 +302,13 @@ impl SpanBook {
     }
 }
 
-/// Renders complete spans as a Chrome-trace-event JSON document, the
-/// same shape `horus_sim::trace::chrome_trace_json` emits: `ph:"M"`
-/// thread-name metadata per track (one track per worker, sorted by
-/// name) followed by `ph:"X"` duration events, timestamps in
+/// Renders complete spans as a Chrome-trace-event JSON document through
+/// the shared [`horus_sim::trace::ChromeTrace`] writer — the drain
+/// probe's shape: one track per worker, sorted by name, timestamps in
 /// microseconds. Each complete job contributes five events — one per
 /// stage, `committed` as an instant — carrying `plan`, `job`, and `key`
-/// in `args`. Incomplete spans are skipped.
+/// (plus `trace`, when one was attached) in `args`. Incomplete spans
+/// are skipped.
 #[must_use]
 pub fn chrome_trace_json(spans: &[JobSpan]) -> String {
     let mut ordered: Vec<(&JobSpan, [f64; STAGES])> = spans
@@ -317,35 +317,8 @@ pub fn chrome_trace_json(spans: &[JobSpan]) -> String {
         .collect();
     ordered.sort_by_key(|(s, _)| (s.plan, s.job));
 
-    let mut tids: BTreeMap<&str, usize> = BTreeMap::new();
-    for (span, _) in &ordered {
-        let next = tids.len();
-        tids.entry(track_name(span)).or_insert(next);
-    }
-    // Re-number in sorted track order so tids are stable no matter the
-    // stamping order.
-    let tids: BTreeMap<&str, usize> = tids
-        .keys()
-        .enumerate()
-        .map(|(i, track)| (*track, i))
-        .collect();
-
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    for (track, tid) in &tids {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":"
-        );
-        serde_json::write_str(&mut out, track);
-        out.push_str("}}");
-    }
+    let mut doc = ChromeTrace::new(ordered.iter().map(|(span, _)| track_name(span)));
     for (span, stamps) in &ordered {
-        let tid = tids[track_name(span)];
         for (i, stage) in Stage::ALL.iter().enumerate() {
             let ts = to_us(stamps[i]);
             let dur = if i + 1 < STAGES {
@@ -353,30 +326,19 @@ pub fn chrome_trace_json(spans: &[JobSpan]) -> String {
             } else {
                 0
             };
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\"dur\":{dur},\
-                 \"name\":\"{}\",\"args\":{{\"plan\":{},\"job\":{},\"key\":",
-                stage.as_str(),
-                span.plan,
-                span.job,
-            );
-            serde_json::write_str(&mut out, &span.key);
-            // Untraced spans keep the exact pre-correlation arg shape;
-            // the `trace` arg appears only when an id was attached.
-            if !span.trace.is_empty() {
-                out.push_str(",\"trace\":");
-                serde_json::write_str(&mut out, &span.trace);
-            }
-            out.push_str("}}");
+            doc.event(track_name(span), ts, dur, stage.as_str(), |args| {
+                let _ = write!(args, "\"plan\":{},\"job\":{},\"key\":", span.plan, span.job);
+                serde_json::write_str(args, &span.key);
+                // Untraced spans keep the exact pre-correlation arg
+                // shape; `trace` appears only when an id was attached.
+                if !span.trace.is_empty() {
+                    args.push_str(",\"trace\":");
+                    serde_json::write_str(args, &span.trace);
+                }
+            });
         }
     }
-    out.push_str("],\"displayTimeUnit\":\"ns\"}");
-    out
+    doc.finish()
 }
 
 fn track_name(span: &JobSpan) -> &str {

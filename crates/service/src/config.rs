@@ -10,7 +10,8 @@
 //!     { "name": "team-b", "burst": 5 }
 //!   ],
 //!   "quick_threshold": 8,
-//!   "runners": 2
+//!   "runners": 2,
+//!   "lease_ms": 30000
 //! }
 //! ```
 //!
@@ -86,6 +87,11 @@ pub struct ServiceConfig {
     /// [`ServiceConfig::DEFAULT_RUNNERS`].
     #[serde(default)]
     pub runners: usize,
+    /// How long a leased job batch stays held without a renew before
+    /// it requeues (remote workers renew at a third of it). `0` = use
+    /// [`ServiceConfig::DEFAULT_LEASE_MS`].
+    #[serde(default)]
+    pub lease_ms: u64,
 }
 
 impl ServiceConfig {
@@ -94,6 +100,8 @@ impl ServiceConfig {
     pub const DEFAULT_QUICK_THRESHOLD: usize = 8;
     /// Runner threads when `runners` is left at `0`.
     pub const DEFAULT_RUNNERS: usize = 2;
+    /// Lease length when `lease_ms` is left at `0`.
+    pub const DEFAULT_LEASE_MS: u64 = 30_000;
 
     /// Parses a configuration from its JSON text.
     ///
@@ -136,6 +144,16 @@ impl ServiceConfig {
         } else {
             self.runners
         }
+    }
+
+    /// The effective lease length.
+    #[must_use]
+    pub fn effective_lease(&self) -> std::time::Duration {
+        std::time::Duration::from_millis(if self.lease_ms == 0 {
+            Self::DEFAULT_LEASE_MS
+        } else {
+            self.lease_ms
+        })
     }
 
     /// Every tenant name this configuration can ever label a metric
@@ -193,7 +211,8 @@ mod tests {
                     {"name": "team-b", "burst": 5, "refill_per_sec": 0.0, "max_in_flight": 0}
                 ],
                 "quick_threshold": 8,
-                "runners": 2
+                "runners": 2,
+                "lease_ms": 500
             }"#,
         )
         .expect("parse");
@@ -202,6 +221,7 @@ mod tests {
         assert_eq!(config.fallback.burst, 100);
         assert_eq!(config.effective_quick_threshold(), 8);
         assert_eq!(config.effective_runners(), 2);
+        assert_eq!(config.effective_lease().as_millis(), 500);
         assert_eq!(config.tenant_names(), ["team-a", "team-b", "anonymous"]);
     }
 
@@ -214,6 +234,7 @@ mod tests {
             ServiceConfig::DEFAULT_QUICK_THRESHOLD
         );
         assert_eq!(config.effective_runners(), ServiceConfig::DEFAULT_RUNNERS);
+        assert_eq!(config.effective_lease().as_secs(), 30);
         assert!(config.tenant("nobody").is_none());
     }
 

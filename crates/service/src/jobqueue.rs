@@ -1,12 +1,14 @@
-//! The coordinator's job queue: at-least-once dispatch, exactly-once
+//! The service's job queue: at-least-once dispatch, exactly-once
 //! commit, deterministic plan-order merge.
 //!
-//! Jobs are identified two ways and the distinction carries the whole
-//! design:
+//! Every executing plan's specs pass through here, whether the
+//! service's own runners execute them or remote workers lease them over
+//! HTTP. Jobs are identified two ways and the distinction carries the
+//! whole design:
 //!
-//! * A **job id** names one enqueued slot. Ids are what workers lease
-//!   and push against, so a retried job (lease expired, worker died) is
-//!   the *same* slot — dispatch is at-least-once per id.
+//! * A **job id** names one enqueued slot. Ids are what leases hold and
+//!   pushes name, so a retried job (lease expired, worker died) is the
+//!   *same* slot — dispatch is at-least-once per id.
 //! * A **content key** ([`JobSpec::key`]) names the experiment point.
 //!   Commits are keyed by content: the first outcome to arrive for a
 //!   key commits every slot sharing it, and later pushes for the same
@@ -16,13 +18,14 @@
 //!
 //! A plan remembers its job ids in submission order, and
 //! [`JobQueue::plan_outcomes`] assembles outcomes in that order — so
-//! the merged result of a fleet run is byte-identical to a local
-//! `Harness::run` over the same specs, no matter how many workers
-//! raced, died, or duplicated work along the way.
+//! the merged result is byte-identical to a local `Harness::run` over
+//! the same specs, no matter how many workers raced, died, or
+//! duplicated work along the way.
 //!
-//! Expired leases requeue with bounded exponential backoff
-//! (`250ms * 2^attempts`, capped at 30s) so a spec that kills every
-//! worker that touches it cannot busy-loop the fleet.
+//! A lease is held by an opaque *holder* id (the service uses one per
+//! leased batch). Expired leases requeue with bounded exponential
+//! backoff (`250ms * 2^attempts`, capped at 30s) so a spec that kills
+//! every worker that touches it cannot busy-loop the queue.
 
 use horus_harness::{JobOutcome, JobSpec, ResultCache};
 use std::collections::{BTreeMap, HashMap};
@@ -42,10 +45,10 @@ pub enum JobState {
         /// Earliest instant the slot may be leased again.
         not_before: Instant,
     },
-    /// Held by a worker until the deadline.
+    /// Held by a lease until the deadline.
     Leased {
-        /// The holder's worker id.
-        worker: u64,
+        /// The holding lease's id.
+        holder: u64,
         /// Lease expiry; past it the slot requeues.
         deadline: Instant,
     },
@@ -98,17 +101,16 @@ pub struct Submitted {
     pub cached: usize,
 }
 
-/// The coordinator's authoritative job queue.
+/// The service's authoritative job queue.
 #[derive(Debug, Default)]
 pub struct JobQueue {
     next_job: u64,
     next_plan: u64,
     jobs: BTreeMap<u64, JobEntry>,
     plans: BTreeMap<u64, PlanEntry>,
-    /// First committed outcome per content key (the dedupe table).
-    committed: HashMap<String, JobOutcome>,
-    /// Plans fully committed, in completion order.
-    plans_done: Vec<u64>,
+    /// The slot holding the first committed outcome per content key
+    /// (the dedupe table).
+    committed: HashMap<String, u64>,
     /// Lifetime count of expired-lease requeues.
     pub requeues: u64,
 }
@@ -140,7 +142,7 @@ impl JobQueue {
                     cached: true,
                 })
             } else {
-                self.committed.get(&key).cloned()
+                self.committed_outcome(&key).cloned()
             };
             let state = if outcome.is_some() {
                 done += 1;
@@ -153,10 +155,8 @@ impl JobQueue {
                     not_before: Instant::now(),
                 }
             };
-            if let Some(o) = &outcome {
-                self.committed
-                    .entry(key.clone())
-                    .or_insert_with(|| o.clone());
+            if outcome.is_some() {
+                self.committed.entry(key.clone()).or_insert(id);
             }
             self.jobs.insert(
                 id,
@@ -172,12 +172,7 @@ impl JobQueue {
             ids.push(id);
         }
         let total = ids.len();
-        let entry = PlanEntry { jobs: ids, done };
-        let complete = entry.is_complete();
-        self.plans.insert(plan, entry);
-        if complete {
-            self.plans_done.push(plan);
-        }
+        self.plans.insert(plan, PlanEntry { jobs: ids, done });
         Submitted {
             plan,
             jobs: total,
@@ -185,13 +180,37 @@ impl JobQueue {
         }
     }
 
-    /// Leases up to `max` pending slots to `worker` until `now +
+    /// Leases up to `max` pending slots to `holder` until `now +
     /// lease`. Slots are offered in id order (oldest plan first), and a
     /// slot whose key is already committed commits on the spot instead
     /// of being handed out.
     pub fn lease(
         &mut self,
-        worker: u64,
+        holder: u64,
+        max: usize,
+        now: Instant,
+        lease: Duration,
+    ) -> Vec<(u64, JobSpec)> {
+        self.lease_where(None, holder, max, now, lease)
+    }
+
+    /// [`JobQueue::lease`] restricted to one plan's slots — how a plan's
+    /// own runner leases back the jobs it enqueued.
+    pub fn lease_from(
+        &mut self,
+        plan: u64,
+        holder: u64,
+        max: usize,
+        now: Instant,
+        lease: Duration,
+    ) -> Vec<(u64, JobSpec)> {
+        self.lease_where(Some(plan), holder, max, now, lease)
+    }
+
+    fn lease_where(
+        &mut self,
+        plan: Option<u64>,
+        holder: u64,
         max: usize,
         now: Instant,
         lease: Duration,
@@ -205,7 +224,7 @@ impl JobQueue {
             let JobState::Pending { not_before } = entry.state else {
                 continue;
             };
-            if not_before > now {
+            if not_before > now || plan.is_some_and(|p| p != entry.plan) {
                 continue;
             }
             if self.committed.contains_key(&entry.key) {
@@ -213,7 +232,7 @@ impl JobQueue {
                 continue;
             }
             entry.state = JobState::Leased {
-                worker,
+                holder,
                 deadline: now + lease,
             };
             entry.attempts += 1;
@@ -221,7 +240,10 @@ impl JobQueue {
         }
         for id in short_circuit {
             let key = self.jobs[&id].key.clone();
-            let outcome = self.committed[&key].clone();
+            let outcome = self
+                .committed_outcome(&key)
+                .cloned()
+                .expect("a committed key's slot holds its outcome");
             self.commit_slot(id, outcome);
         }
         out
@@ -256,7 +278,7 @@ impl JobQueue {
                 cache.store(&entry.spec, result);
             }
         }
-        self.committed.insert(key.clone(), outcome.clone());
+        self.committed.insert(key.clone(), job);
         let sharing: Vec<u64> = self
             .jobs
             .iter()
@@ -268,6 +290,12 @@ impl JobQueue {
             completed.extend(self.commit_slot(id, outcome.clone()));
         }
         completed
+    }
+
+    /// The first committed outcome for content key `key`.
+    fn committed_outcome(&self, key: &str) -> Option<&JobOutcome> {
+        let slot = self.committed.get(key)?;
+        self.jobs.get(slot)?.outcome.as_ref()
     }
 
     /// Marks one slot done and updates its plan; returns the plan id if
@@ -282,30 +310,25 @@ impl JobQueue {
         let plan = entry.plan;
         let p = self.plans.get_mut(&plan)?;
         p.done += 1;
-        if p.is_complete() {
-            self.plans_done.push(plan);
-            Some(plan)
-        } else {
-            None
-        }
+        p.is_complete().then_some(plan)
     }
 
-    /// Extends every lease held by `worker` to `now + lease`. A worker
+    /// Extends every slot held by `holder` to `now + lease`. A worker
     /// mid-batch renews at a fraction of the lease, so a healthy worker
     /// can hold a job for any duration while a dead one still forfeits
-    /// within one lease of its last heartbeat. Returns how many leases
+    /// within one lease of its last heartbeat. Returns how many slots
     /// were renewed.
-    pub fn renew(&mut self, worker: u64, now: Instant, lease: Duration) -> usize {
+    pub fn renew(&mut self, holder: u64, now: Instant, lease: Duration) -> usize {
         let mut renewed = 0;
         for entry in self.jobs.values_mut() {
             let JobState::Leased {
-                worker: holder,
+                holder: held_by,
                 deadline,
             } = &mut entry.state
             else {
                 continue;
             };
-            if *holder == worker {
+            if *held_by == holder {
                 *deadline = now + lease;
                 renewed += 1;
             }
@@ -335,14 +358,12 @@ impl JobQueue {
         expired
     }
 
-    /// A slot's `(plan, content key, already committed)` triple — what
-    /// span stamping needs around a lease or push — or `None` for an
-    /// unknown job id.
+    /// One slot — its plan, content key, state and attempts, what span
+    /// stamping and push validation need — or `None` for an unknown job
+    /// id.
     #[must_use]
-    pub fn job_info(&self, job: u64) -> Option<(u64, &str, bool)> {
-        self.jobs
-            .get(&job)
-            .map(|e| (e.plan, e.key.as_str(), e.state == JobState::Done))
+    pub fn job(&self, job: u64) -> Option<&JobEntry> {
+        self.jobs.get(&job)
     }
 
     /// The plan's `(job id, content key)` pairs in submission order;
@@ -374,10 +395,11 @@ impl JobQueue {
             .collect()
     }
 
-    /// Number of fully committed plans.
+    /// A plan's `(committed, total)` slot counts, or `None` for an
+    /// unknown plan id.
     #[must_use]
-    pub fn plans_done(&self) -> usize {
-        self.plans_done.len()
+    pub fn plan_progress(&self, plan: u64) -> Option<(usize, usize)> {
+        self.plans.get(&plan).map(|p| (p.done, p.jobs.len()))
     }
 
     /// `(pending, leased, done)` slot counts.
@@ -448,7 +470,7 @@ mod tests {
         let merged = q.plan_outcomes(sub.plan).expect("complete");
         let expect: Vec<JobOutcome> = specs.iter().map(outcome).collect();
         assert_eq!(merged, expect);
-        assert_eq!(q.plans_done(), 1);
+        assert_eq!(q.plan_progress(sub.plan), Some((3, 3)));
         assert!(q.is_idle());
     }
 
@@ -542,7 +564,7 @@ mod tests {
     #[test]
     fn cache_hits_commit_at_submit_and_persist_fresh_results() {
         let dir = std::env::temp_dir().join(format!(
-            "horus-fleet-queue-test-{}-{}",
+            "horus-service-jobqueue-test-{}-{}",
             std::process::id(),
             line!()
         ));
@@ -579,7 +601,7 @@ mod tests {
     }
 
     #[test]
-    fn job_info_and_plan_jobs_track_the_lifecycle() {
+    fn job_and_plan_jobs_track_the_lifecycle() {
         let mut q = JobQueue::new();
         let specs = specs(2);
         let keys: Vec<String> = specs.iter().map(JobSpec::key).collect();
@@ -592,12 +614,42 @@ mod tests {
             "submission order"
         );
         let (id0, _) = jobs[0];
-        assert_eq!(q.job_info(id0), Some((sub.plan, keys[0].as_str(), false)));
+        let entry = q.job(id0).expect("known job");
+        assert_eq!(
+            (entry.plan, entry.key.as_str()),
+            (sub.plan, keys[0].as_str())
+        );
+        assert_eq!((entry.attempts, entry.state == JobState::Done), (0, false));
         let leased = q.lease(1, 10, Instant::now(), Duration::from_secs(30));
         q.commit(leased[0].0, outcome(&specs[0]), None);
-        assert_eq!(q.job_info(id0), Some((sub.plan, keys[0].as_str(), true)));
-        assert_eq!(q.job_info(999), None);
+        let entry = q.job(id0).expect("known job");
+        assert_eq!((entry.attempts, entry.state == JobState::Done), (1, true));
+        assert_eq!(q.plan_progress(sub.plan), Some((1, 2)));
+        assert!(q.job(999).is_none());
         assert!(q.plan_jobs(999).is_empty());
+        assert_eq!(q.plan_progress(999), None);
+    }
+
+    #[test]
+    fn lease_from_offers_only_the_named_plan() {
+        let mut q = JobQueue::new();
+        let first = q.submit(specs(2), None);
+        let mut later = specs(4);
+        later.drain(..2);
+        let second = q.submit(later, None);
+        let now = Instant::now();
+        let lease = Duration::from_secs(30);
+        let own = q.lease_from(second.plan, 1, 10, now, lease);
+        assert_eq!(own.len(), 2, "only the second plan's slots");
+        assert!(own
+            .iter()
+            .all(|(id, _)| q.job(*id).is_some_and(|e| e.plan == second.plan)));
+        assert_eq!(q.plan_progress(first.plan), Some((0, 2)));
+        assert_eq!(
+            q.lease(2, 10, now, lease).len(),
+            2,
+            "the first plan is untouched"
+        );
     }
 
     #[test]
@@ -605,6 +657,6 @@ mod tests {
         let mut q = JobQueue::new();
         let sub = q.submit(Vec::new(), None);
         assert_eq!(q.plan_outcomes(sub.plan), Some(Vec::new()));
-        assert_eq!(q.plans_done(), 1);
+        assert_eq!(q.plan_progress(sub.plan), Some((0, 0)));
     }
 }

@@ -16,10 +16,18 @@
 //! first execution (and, via the harness's on-disk result cache,
 //! identical plans dedupe across service restarts too).
 //!
+//! Execution is one job queue ([`JobQueue`]: leases, requeue,
+//! exactly-once commit per content key, plan-order merge). The
+//! daemon's runner threads are an in-process worker on it, and remote
+//! [`worker`]s on other machines lease from the same queue over the
+//! same HTTP listener — so one daemon distributes a sweep across hosts
+//! and the merged result stays byte-identical to a local run.
+//!
 //! The HTTP layer is the std-only server from `horus-obs` — the
 //! service mounts itself as a [`horus_obs::Router`] in front of the
 //! built-in `/metrics`, `/healthz`, `/readyz`, and `/logs` routes, so
-//! one listener serves both the API and its own observability.
+//! one listener serves the API, the worker side, and its own
+//! observability.
 //!
 //! Module map:
 //!
@@ -27,10 +35,12 @@
 //! |---|---|
 //! | [`config`] | tenant policy file: parsing + validation |
 //! | [`governor`] | token buckets, quotas, shed verdicts |
-//! | [`queue`] | two-class priority queue with an anti-starvation valve |
-//! | [`api`] | wire types and the plan content key |
+//! | [`queue`] | two-class plan priority queue with an anti-starvation valve |
+//! | [`jobqueue`] | the job queue: leases, requeue, exactly-once commit, plan-order merge |
+//! | [`api`] | wire types (clients and workers) and the plan content key |
+//! | [`service`] | the daemon: routing, admission, runners, leases, journal, metrics, spans |
+//! | [`worker`] | the remote worker: lease, execute on a local pool, push |
 //! | [`backend`] | a `SweepBackend` that executes plans through a running daemon |
-//! | [`service`] | the daemon: routing, runners, dedup, metrics, spans |
 //! | [`plans`] | canonical plan catalog shared with the load generator |
 //! | [`load`] | the `horus-load` client storm + verification |
 
@@ -41,17 +51,22 @@ pub mod api;
 pub mod backend;
 pub mod config;
 pub mod governor;
+pub mod jobqueue;
 pub mod load;
 pub mod plans;
 pub mod queue;
 pub mod service;
+pub mod worker;
 
 pub use api::{
-    plan_key, ErrorBody, JobStatus, StageStamps, SubmitRequest, SubmitResponse, TENANT_HEADER,
+    plan_key, ErrorBody, JobStatus, LeaseGrant, LeaseRequest, LeasedJob, PushRequest, PushStamps,
+    StageStamps, SubmitRequest, SubmitResponse, WorkerHello, WorkerWelcome, TENANT_HEADER,
 };
 pub use backend::ServiceBackend;
 pub use config::{ServiceConfig, TenantPolicy};
 pub use governor::{Admission, Governor, TenantSnapshot};
+pub use jobqueue::JobQueue;
 pub use load::{canonical_outcomes, run_load, LatencySummary, LoadOptions, LoadReport, TenantLoad};
 pub use queue::{Class, PlanQueue};
 pub use service::{ExperimentService, JobState};
+pub use worker::{run_worker, WorkerOptions, WorkerSummary};

@@ -75,6 +75,6 @@ pub use schedule::{SlotBankSet, SlotResource};
 pub use shards::EpisodeShards;
 pub use stats::{Histogram, KindCounters, Stats};
 pub use trace::{
-    chrome_trace_json, critical_path, resource_usage, CriticalPathShare, CriticalPathSummary,
-    MemorySink, NullSink, Probe, ResourceUsage, TraceEvent, TraceSink,
+    chrome_trace_json, critical_path, resource_usage, ChromeTrace, CriticalPathShare,
+    CriticalPathSummary, MemorySink, NullSink, Probe, ResourceUsage, TraceEvent, TraceSink,
 };

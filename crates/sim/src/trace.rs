@@ -216,67 +216,95 @@ pub fn base_resource(track: &str) -> &str {
 /// Renders events as a Chrome-trace-event JSON document, loadable in
 /// Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`.
 ///
-/// Tracks become threads of one process: a `thread_name` metadata
-/// event names each, then every [`TraceEvent`] becomes a complete
-/// (`"ph":"X"`) duration event with `ts`/`dur` in **core cycles** (the
-/// viewer's time unit labels read as microseconds; only ratios
-/// matter). The output is deterministic: tracks are numbered in sorted
-/// order and events appear in recording order, so identical episodes
-/// serialize byte-identically.
-///
-/// The layout is fixed here, by hand; only strings go through
-/// [`serde_json::write_str`].
+/// Tracks become threads of one process (see [`ChromeTrace`]), and
+/// every [`TraceEvent`] becomes a complete (`"ph":"X"`) duration event
+/// with `ts`/`dur` in **core cycles** (the viewer's time unit labels
+/// read as microseconds; only ratios matter) and its `ready`/`wait`
+/// cycles as `args`. Events appear in recording order, so identical
+/// episodes serialize byte-identically.
 #[must_use]
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    let mut tids: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut doc = ChromeTrace::new(events.iter().map(|e| e.track.as_str()));
     for e in events {
-        let next = tids.len();
-        tids.entry(e.track.as_str()).or_insert(next);
+        doc.event(&e.track, e.start, e.duration(), &e.name, |args| {
+            let _ = write!(args, "\"ready\":{},\"wait\":{}", e.ready, e.wait());
+        });
     }
-    // Re-number in sorted track order so tids are stable no matter the
-    // recording order.
-    let tids: BTreeMap<&str, usize> = tids
-        .keys()
-        .enumerate()
-        .map(|(i, track)| (*track, i))
-        .collect();
+    doc.finish()
+}
 
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    for (track, tid) in &tids {
-        if !first {
-            out.push(',');
+/// The one Chrome-trace-event writer: episode traces
+/// ([`chrome_trace_json`]) and job-lifecycle spans
+/// (`horus_obs::span::chrome_trace_json`) both render through it.
+///
+/// A document names each distinct track once with a `thread_name`
+/// metadata event, tids numbered in sorted track order so they do not
+/// depend on the order events arrive, then carries `ph:"X"` events
+/// whose `args` members the caller writes. The layout is fixed here,
+/// by hand; only strings go through [`serde_json::write_str`].
+pub struct ChromeTrace<'a> {
+    out: String,
+    tids: BTreeMap<&'a str, usize>,
+    first: bool,
+}
+
+impl<'a> ChromeTrace<'a> {
+    /// Starts a document over `tracks` (any order, repeats allowed) and
+    /// writes their `thread_name` metadata.
+    pub fn new(tracks: impl IntoIterator<Item = &'a str>) -> Self {
+        let mut tids: BTreeMap<&'a str, usize> = tracks.into_iter().map(|t| (t, 0)).collect();
+        let mut out = String::from("{\"traceEvents\":[");
+        for (tid, (track, slot)) in tids.iter_mut().enumerate() {
+            *slot = tid;
+            if tid > 0 {
+                out.push(',');
+            }
+            let _ = write!(
+                out,
+                "{{\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":"
+            );
+            serde_json::write_str(&mut out, track);
+            out.push_str("}}");
         }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":"
-        );
-        serde_json::write_str(&mut out, track);
-        out.push_str("}}");
+        let first = tids.is_empty();
+        ChromeTrace { out, tids, first }
     }
-    for e in events {
-        let tid = tids[e.track.as_str()];
-        if !first {
-            out.push(',');
+
+    /// Appends one complete event on `track` (which must have been
+    /// named to [`ChromeTrace::new`]); `args` writes the members of its
+    /// `args` object.
+    ///
+    /// # Panics
+    /// If `track` was not among the document's tracks.
+    pub fn event(
+        &mut self,
+        track: &str,
+        ts: u64,
+        dur: u64,
+        name: &str,
+        args: impl FnOnce(&mut String),
+    ) {
+        let tid = self.tids[track];
+        if !self.first {
+            self.out.push(',');
         }
-        first = false;
+        self.first = false;
         let _ = write!(
-            out,
-            "{{\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"ts\":{},\"dur\":{},\"name\":",
-            e.start,
-            e.duration(),
+            self.out,
+            "{{\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\"dur\":{dur},\"name\":"
         );
-        serde_json::write_str(&mut out, &e.name);
-        let _ = write!(
-            out,
-            ",\"args\":{{\"ready\":{},\"wait\":{}}}}}",
-            e.ready,
-            e.wait()
-        );
+        serde_json::write_str(&mut self.out, name);
+        self.out.push_str(",\"args\":{");
+        args(&mut self.out);
+        self.out.push_str("}}");
     }
-    out.push_str("],\"displayTimeUnit\":\"ns\"}");
-    out
+
+    /// Closes the document and returns its JSON text.
+    #[must_use]
+    pub fn finish(mut self) -> String {
+        self.out.push_str("],\"displayTimeUnit\":\"ns\"}");
+        self.out
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -5,19 +5,20 @@
 //! horus-cli drain   --scheme horus-slm [--llc-mb 16] [--stride 16384] [--json]
 //! horus-cli recover --scheme horus-dlm [--llc-mb 8] [--write-through]
 //! horus-cli attack  --kind splice [--scheme horus-slm]
-//! horus-cli sweep   --llc 8,16,32 [--jobs N] [--cache-dir DIR] [--no-cache] [--progress] [--json] [--fleet ADDR]
+//! horus-cli sweep   --llc 8,16,32 [--jobs N] [--cache-dir DIR] [--no-cache] [--progress] [--json] [--service ADDR]
 //! horus-cli crash-sweep [--quick] [--points N] [--model torn|stale|garbled] [--jobs N] [--out FILE] [--json]
-//! horus-cli serve [--addr 127.0.0.1:9900] [--tenant-config FILE] [--jobs N] [--cache-dir DIR] [--fleet ADDR]
-//! horus-cli fleet-coordinator [--addr 127.0.0.1:9470] [--lease-secs S] [--for-plans N] [--resume]
+//! horus-cli serve [--addr 127.0.0.1:9900] [--tenant-config FILE] [--jobs N] [--cache-dir DIR]
 //! horus-cli fleet-worker --connect HOST:PORT [--jobs N] [--name NAME]
-//! horus-cli fleet-trace [--connect HOST:PORT] [--out FILE]
 //! horus-cli serve-metrics [--addr 127.0.0.1:9464] [--for-seconds S]
 //! horus-cli insight [--obs FILE] [--spans FILE] [--logs FILE] [--out FILE] [--top N] [--json]
 //! ```
 //!
 //! `sweep` runs on the `horus-harness` worker pool: points execute in
 //! parallel (`--jobs`, default all cores) and results are memoized in
-//! the on-disk cache, so re-running a sweep is instant.
+//! the on-disk cache, so re-running a sweep is instant. `--service ADDR`
+//! submits the points to a `serve` daemon instead, whose runners and
+//! `fleet-worker`s (on any host) execute them; the output is
+//! byte-identical either way.
 //!
 //! `crash-sweep` interrupts every scheme's drain at sampled cycles
 //! (phase boundaries ±1 plus even coverage), recovers from the exact
@@ -40,14 +41,12 @@ use horus::core::{
     TornWriteModel,
 };
 use horus::energy::{Battery, DrainEnergyModel};
-use horus::fleet::{run_worker, Coordinator, CoordinatorOptions, FleetBackend, WorkerOptions};
 use horus::harness::{Harness, HarnessOptions, JobSpec, ProgressMode, SweepBackend};
-use horus::obs::{log, span, MetricsServer, ObsOptions, ObsSession, Registry, SpanBook};
-use horus::service::ServiceConfig;
+use horus::obs::{log, MetricsServer, ObsOptions, ObsSession, Registry, SpanBook};
+use horus::service::{run_worker, ServiceBackend, ServiceConfig, WorkerOptions};
 use horus::workload::{fill_hierarchy, parse_trace, FillPattern, TraceOp};
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn parse_scheme(s: &str) -> Result<DrainScheme, String> {
     match s.to_ascii_lowercase().as_str() {
@@ -341,8 +340,8 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         progress: progress_mode(args, obs.as_ref()),
         metrics: obs.as_ref().map(ObsSession::registry),
         backend: args
-            .get("fleet")
-            .map(|addr| Arc::new(FleetBackend::new(addr)) as Arc<dyn SweepBackend>),
+            .get("service")
+            .map(|addr| Arc::new(ServiceBackend::new(addr)) as Arc<dyn SweepBackend>),
         spans: obs.as_ref().and_then(ObsSession::span_book),
     });
     let specs: Vec<JobSpec> = llcs
@@ -518,9 +517,10 @@ fn cmd_serve_metrics(args: &Args) -> Result<(), String> {
 
 /// `serve`: the multi-tenant experiment API. Mounts the
 /// `horus-service` router in front of the obs HTTP server, so one
-/// listener answers `/v1/jobs`, `/metrics`, `/healthz`, and `/readyz`.
-/// Runs until `POST /v1/shutdown`, then drains the queue, joins the
-/// runners, and writes the obs summary.
+/// listener answers `/v1/jobs`, the worker routes, `/metrics`,
+/// `/healthz`, and `/readyz`. `--jobs 0` keeps no local pool: every
+/// job waits for a `fleet-worker`. Runs until `POST /v1/shutdown`, then
+/// drains the queue, joins the runners, and writes the obs summary.
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let addr = args.get("addr").unwrap_or("127.0.0.1:9900");
     // The API rides the obs HTTP server, so a serve session always has
@@ -546,26 +546,15 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         .get("jobs")
         .map(|v| v.parse::<usize>().map_err(|e| format!("--jobs: {e}")))
         .transpose()?;
-    let backend = match args.get("fleet") {
-        Some(fleet_addr) => {
-            let backend = FleetBackend::new(fleet_addr);
-            let workers = backend
-                .wait_ready(Duration::from_secs(30))
-                .map_err(|e| format!("--fleet {fleet_addr}: {e}"))?;
-            eprintln!("serve: fleet backend at {fleet_addr} ready ({workers} worker(s))");
-            Some(Arc::new(backend) as Arc<dyn SweepBackend>)
-        }
-        None => None,
-    };
     let harness = Arc::new(Harness::new(HarnessOptions {
         jobs,
         cache_dir: args.get("cache-dir").map(std::path::PathBuf::from),
         no_cache: args.has("no-cache"),
         progress: ProgressMode::Silent,
         metrics: Some(session.registry()),
-        backend,
-        // The service stamps plan-level spans itself; giving the
-        // harness the book too would collide on plan ids.
+        // The service stamps per-job spans itself; giving the harness
+        // the book too would collide on plan ids.
+        backend: None,
         spans: None,
     }));
     let spans = session.span_book().unwrap_or_else(SpanBook::shared);
@@ -580,110 +569,27 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let listen = session
         .metrics_addr()
         .map_or_else(|| addr.to_owned(), |a| a.to_string());
+    let pool = match harness.jobs() {
+        0 => "no local pool: remote workers only".to_owned(),
+        n => format!("local pool {n}"),
+    };
     eprintln!(
-        "serve: experiment API on http://{listen}/v1/jobs ({} runner(s), tenants: {})",
+        "serve: experiment API on http://{listen}/v1/jobs ({} runner(s), {pool}, tenants: {})",
         config.effective_runners(),
         config.tenant_names().join(", ")
     );
     service.wait_until_drained();
     service.join();
     eprintln!("serve: drained; shutting down");
-    finish_obs(Some(session), harness.as_ref())
-}
-
-/// `fleet-coordinator`: serve a durable job queue plus the authoritative
-/// result cache to fleet workers. Runs until killed, or — with
-/// `--for-plans N` — drains after merging N submitted plans (how the CI
-/// smoke job bounds it), lingering briefly so workers hear `Drained` and
-/// exit cleanly.
-fn cmd_fleet_coordinator(args: &Args) -> Result<(), String> {
-    let obs = obs_session(args)?;
-    let lease_secs = args
-        .get("lease-secs")
-        .map(|v| v.parse::<f64>().map_err(|e| format!("--lease-secs: {e}")))
-        .transpose()?
-        .unwrap_or(30.0);
-    if lease_secs.is_nan() || lease_secs <= 0.0 {
-        return Err("--lease-secs must be positive".into());
+    if let Some(path) = session.finish(service.take_job_profiles())? {
+        eprintln!("obs: wrote run summary -> {}", path.display());
     }
-    // The CLI coordinator always keeps a span book, so `fleet-trace`
-    // can interrogate any coordinator it can reach; `--span-out` merely
-    // adds the end-of-run artifact (the session's book is reused then,
-    // so the obs finish path writes it).
-    let spans = obs
-        .as_ref()
-        .and_then(ObsSession::span_book)
-        .unwrap_or_else(SpanBook::shared);
-    // Not ready until the queue is actually listening.
-    if let Some(session) = &obs {
-        session.set_ready(false);
-    }
-    let stall_multiple = args
-        .get("stall-multiple")
-        .map(|v| {
-            v.parse::<f64>()
-                .map_err(|e| format!("--stall-multiple: {e}"))
-        })
-        .transpose()?
-        .unwrap_or(3.0);
-    if stall_multiple.is_nan() || stall_multiple < 1.0 {
-        return Err("--stall-multiple must be at least 1".into());
-    }
-    let options = CoordinatorOptions {
-        addr: args.get("addr").unwrap_or("127.0.0.1:9470").to_owned(),
-        cache_dir: args.get("cache-dir").map(std::path::PathBuf::from),
-        no_cache: args.has("no-cache"),
-        lease: Duration::from_secs_f64(lease_secs),
-        stall_multiple,
-        metrics: obs.as_ref().map(ObsSession::registry),
-        spans: Some(Arc::clone(&spans)),
-        resume: args.has("resume"),
-    };
-    let coordinator = Coordinator::start(&options)
-        .map_err(|e| format!("cannot start coordinator on {}: {e}", options.addr))?;
-    if let Some(session) = &obs {
-        session.set_ready(true);
-    }
-    eprintln!(
-        "fleet: coordinator listening on {} (lease {:.1}s)",
-        coordinator.local_addr(),
-        lease_secs
-    );
-    let for_plans = args
-        .get("for-plans")
-        .map(|v| v.parse::<usize>().map_err(|e| format!("--for-plans: {e}")))
-        .transpose()?;
-    match for_plans {
-        Some(n) => {
-            coordinator.wait_for_plans(n);
-            coordinator.begin_drain();
-            if let Some(session) = &obs {
-                session.set_ready(false);
-            }
-            eprintln!(
-                "fleet: {n} plan(s) merged ({} lease requeues); draining workers",
-                coordinator.requeues()
-            );
-            // Linger so workers polling for leases hear `Drained` and
-            // exit zero before the listener goes away.
-            std::thread::sleep(Duration::from_secs(2));
-        }
-        None => loop {
-            std::thread::sleep(Duration::from_secs(3600));
-        },
-    }
-    if let Some(session) = obs {
-        if let Some(path) = session.finish(coordinator.take_job_profiles())? {
-            eprintln!("obs: wrote run summary -> {}", path.display());
-        }
-    }
-    coordinator.shutdown();
     Ok(())
 }
 
-/// `fleet-worker`: register with a coordinator, lease job batches, run
-/// them on the ordinary local harness pool, and push results back until
-/// the coordinator drains.
+/// `fleet-worker`: register with a `serve` daemon, lease job batches,
+/// run them on the ordinary local harness pool, and push results back
+/// until the daemon drains.
 fn cmd_fleet_worker(args: &Args) -> Result<(), String> {
     let connect = args
         .get("connect")
@@ -698,36 +604,9 @@ fn cmd_fleet_worker(args: &Args) -> Result<(), String> {
         .transpose()?;
     let summary = run_worker(&options)?;
     eprintln!(
-        "fleet: worker {} executed {} job(s) over {} batch(es); coordinator drained",
+        "fleet: worker {} executed {} job(s) over {} batch(es); service drained",
         summary.worker, summary.executed, summary.batches
     );
-    Ok(())
-}
-
-/// `fleet-trace`: pull every job span the coordinator has stamped and
-/// render them as Chrome-trace JSON — to `--out FILE`, or stdout.
-/// One worker = one track; each job shows its five lifecycle stages
-/// (queued → leased → executing → pushed → committed) on the
-/// coordinator's clock.
-fn cmd_fleet_trace(args: &Args) -> Result<(), String> {
-    let addr = args
-        .get("connect")
-        .or_else(|| args.get("addr"))
-        .unwrap_or("127.0.0.1:9470");
-    let spans = FleetBackend::new(addr).fetch_trace()?;
-    let json = span::chrome_trace_json(&spans);
-    let complete = spans.iter().filter(|s| s.is_complete()).count();
-    eprintln!(
-        "fleet-trace: {} span(s) from {addr} ({complete} complete)",
-        spans.len()
-    );
-    match args.get("out") {
-        Some(out) => {
-            std::fs::write(out, json.as_bytes()).map_err(|e| format!("{out}: {e}"))?;
-            eprintln!("wrote Chrome trace to {out} — open in Perfetto");
-        }
-        None => println!("{json}"),
-    }
     Ok(())
 }
 
@@ -923,29 +802,26 @@ fn cmd_trace_drain(args: &Args) -> Result<(), String> {
 }
 
 const USAGE: &str =
-    "usage: horus-cli <config|drain|recover|attack|sweep|crash-sweep|serve|fleet-coordinator|fleet-worker|serve-metrics|insight|trace> [options]
+    "usage: horus-cli <config|drain|recover|attack|sweep|crash-sweep|serve|fleet-worker|serve-metrics|insight|trace> [options]
   config                          print the Table I configuration as JSON
   drain   --scheme S [--llc-mb N] [--stride B] [--json]
   recover --scheme S [--llc-mb N] [--write-through] [--json]
   attack  --kind K [--scheme S]   K: data address mac splice truncate replay
   sweep   --llc 8,16,32 [--jobs N] [--cache-dir DIR] [--no-cache] [--progress] [--json]
-          [--fleet HOST:PORT]     run the points on a fleet coordinator instead of
-          the local pool; output stays byte-identical to the local run
+          [--service HOST:PORT]   submit the points to a serve daemon instead of the
+          local pool; output stays byte-identical to the local run
   crash-sweep [--quick] [--points N] [--model torn|stale|garbled] [--jobs N]
           [--out FILE] [--json]   interrupt each drain at sampled cycles, recover,
           classify; exits nonzero on any Horus silent corruption
   serve   [--addr 127.0.0.1:9900] [--tenant-config FILE] [--jobs N] [--cache-dir DIR]
-          [--no-cache] [--fleet HOST:PORT]   multi-tenant experiment API daemon:
-          POST /v1/jobs with admission control, dedup by content key, /metrics
-          on the same listener; POST /v1/shutdown drains and exits
-  fleet-coordinator [--addr 127.0.0.1:9470] [--lease-secs S] [--cache-dir DIR]
-          [--no-cache] [--for-plans N] [--resume] [--stall-multiple X]   serve the
-          fleet job queue and authoritative result cache; merge is plan-ordered and
-          exactly-once; jobs leased but unpushed past X leases log a stall warning
+          [--no-cache] [--obs-out FILE] [--span-out FILE]   multi-tenant experiment
+          daemon: POST /v1/jobs with admission control, dedup by content key, a job
+          queue its runners (--jobs wide; 0 = none) and fleet-workers lease from,
+          /metrics on the same listener; with --cache-dir, unfinished plans resume
+          after a restart; POST /v1/shutdown drains and exits
   fleet-worker --connect HOST:PORT [--jobs N] [--name NAME]   lease job batches
-          and execute them on the local harness pool until the fleet drains
-  fleet-trace [--connect HOST:PORT] [--out FILE]   pull the coordinator's per-job
-          lifecycle spans as Chrome-trace JSON (Perfetto-loadable)
+          from a serve daemon and execute them on the local harness pool until it
+          drains
   serve-metrics [--addr 127.0.0.1:9464] [--for-seconds S]   standalone Prometheus
           scrape endpoint exposing this process's host profile
   insight [--obs FILE] [--spans FILE] [--logs FILE] [--out FILE] [--top N] [--json]
@@ -954,7 +830,7 @@ const USAGE: &str =
   trace   <scheme> [--llc-mb N] [--stride B] [--out FILE]   probed drain: utilization,
           critical path, optional Chrome-trace JSON (Perfetto-loadable)
   trace   --file <path> [--domain epd|adr|bbb:<lines>]      workload replay
-sweep/crash-sweep/fleet-coordinator telemetry: [--metrics-addr ADDR] [--dashboard]
+sweep/crash-sweep telemetry: [--metrics-addr ADDR] [--dashboard]
           [--obs-out FILE] [--span-out FILE]
 global logging: [--log-level debug|info|warn|error] [--log-json]
 schemes: ns base-lu base-eu horus(-slm) horus-dlm";
@@ -970,7 +846,6 @@ fn main() -> ExitCode {
             "progress",
             "quick",
             "dashboard",
-            "resume",
             "log-json",
         ],
     ) {
@@ -1000,9 +875,7 @@ fn main() -> ExitCode {
             Err(e) => Err(e),
         },
         "serve" => cmd_serve(&args),
-        "fleet-coordinator" => cmd_fleet_coordinator(&args),
         "fleet-worker" => cmd_fleet_worker(&args),
-        "fleet-trace" => cmd_fleet_trace(&args),
         "serve-metrics" => cmd_serve_metrics(&args),
         "insight" => cmd_insight(&args),
         "trace" => cmd_trace(&args),

@@ -20,9 +20,8 @@
 //! | [`energy`] | `horus-energy` | drain energy and battery sizing (Tables II–III) |
 //! | [`workload`] | `horus-workload` | crash-snapshot generators and access traces |
 //! | [`harness`] | `horus-harness` | parallel, cache-aware experiment orchestration |
-//! | [`fleet`] | `horus-fleet` | distributed coordinator/worker sweep execution with deterministic merge |
 //! | [`mod@bench`] | `horus-bench` | the paper's figures/tables, the crash-point sweep, the bench gate |
-//! | [`service`] | `horus-service` | multi-tenant experiment API: admission control, dedup, load generation |
+//! | [`service`] | `horus-service` | the experiment daemon: admission control, dedup, a job queue that local runners and remote workers lease from, load generation |
 //!
 //! # Quickstart
 //!
@@ -58,7 +57,6 @@ pub use horus_cache as cache;
 pub use horus_core as core;
 pub use horus_crypto as crypto;
 pub use horus_energy as energy;
-pub use horus_fleet as fleet;
 pub use horus_harness as harness;
 pub use horus_metadata as metadata;
 pub use horus_nvm as nvm;
