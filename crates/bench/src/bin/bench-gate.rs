@@ -11,9 +11,8 @@
 //! [--update] [--baseline PATH] [--out PATH] [--tolerance FRACTION]
 //! [--throughput-tolerance FRACTION] [--host-profile-tolerance FRACTION]
 //! [--gate-host-profile]` plus the shared `repro-*` flags
-//! (`--jobs`, `--cache-dir`, `--no-cache`, `--progress`). Here `--out`
-//! is the snapshot output path, claimed before the shared parser's
-//! `--out`/`--trace-out` alias.
+//! (`--jobs`, `--cache-dir`, `--no-cache`, `--run-dir`, ...). Here
+//! `--out` is the snapshot output path.
 //!
 //! The deterministic op counts are gated tight (default 2%); the
 //! `ops_per_sec` throughput section is gated loose (default 25%,

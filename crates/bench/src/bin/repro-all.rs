@@ -2,9 +2,8 @@
 //! for each table and figure).
 //!
 //! Usage: `cargo run --release -p horus-bench --bin repro-all --
-//! [--jobs N] [--cache-dir DIR] [--no-cache] [--progress] [--quick]
-//! [--trace-out FILE] [--metrics-addr ADDR] [--dashboard]
-//! [--obs-out FILE]`
+//! [--jobs N] [--cache-dir DIR] [--no-cache] [--quick]
+//! [--metrics-addr ADDR] [--run-dir DIR]`
 //!
 //! Experiment points run on the `horus-harness` worker pool and are
 //! memoized in the result cache, so a repeated invocation is pure cache

@@ -8,8 +8,7 @@
 //! the loss. The baselines show their documented vulnerability windows.
 //!
 //! Usage: `cargo run --release -p horus-bench --bin repro-crash --
-//! [--quick] [--jobs N] [--progress] [--metrics-addr ADDR]
-//! [--dashboard] [--obs-out FILE]`
+//! [--quick] [--jobs N] [--metrics-addr ADDR] [--run-dir DIR]`
 //!
 //! With `--metrics-addr`, a mid-run scrape shows
 //! `horus_crash_verdicts_total{scheme, verdict}` filling in live.

@@ -14,7 +14,7 @@
 //! instead of killing the run mid-way.
 //!
 //! Usage: `cargo run --release -p horus-bench --bin repro-faults --
-//! [--jobs N] [--progress]`
+//! [--jobs N] [--run-dir DIR]`
 
 use horus_bench::cli::HarnessArgs;
 use horus_bench::table;

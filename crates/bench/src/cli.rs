@@ -1,4 +1,5 @@
-//! Shared command-line plumbing for the `repro-*` binaries.
+//! Shared command-line plumbing for the `repro-*` binaries and
+//! `horus-cli sweep`/`crash-sweep`.
 //!
 //! Every reproduction binary accepts the same orchestration flags:
 //!
@@ -6,42 +7,43 @@
 //! --jobs N          worker threads (default: available parallelism)
 //! --cache-dir DIR   result-cache directory (default: target/horus-cache)
 //! --no-cache        bypass the result cache (always re-simulate)
-//! --progress        stream JSON-lines progress events to stderr
 //! --quick           shrink the sweeps (binaries that sweep)
-//! --trace-out FILE  also write a Chrome-trace JSON of one probed drain
 //! --metrics-addr A  serve live Prometheus text on A (e.g. 127.0.0.1:9464)
-//! --dashboard       render the live TTY telemetry panel on stderr
-//! --obs-out FILE    write the end-of-run obs summary JSON to FILE
+//! --run-dir DIR     write the run's artifacts into DIR (below)
 //! --service ADDR    submit sweeps to the `horus-cli serve` daemon at ADDR
 //!                   instead of the local pool (output stays byte-identical)
 //! --service-tenant NAME  submit under tenant NAME (with --service)
-//! --span-out FILE   write a Chrome-trace JSON of per-job lifecycle spans
-//!                   (queued → leased → executing → pushed → committed)
 //! --sim-threads N   shard independent episodes over N simulation worker
 //!                   threads (default 1; output is byte-identical for any N)
 //! --log-level LVL   structured-log threshold: debug|info|warn|error
-//! --log-json        emit structured log lines as NDJSON on stderr
 //! ```
 //!
-//! The three `--metrics-addr`/`--dashboard`/`--obs-out` flags together
-//! drive an [`ObsRuntime`]: build it once with
-//! [`HarnessArgs::obs_or_exit`], construct the harness through
-//! [`HarnessArgs::harness_with`] so sweep metrics land in the session's
-//! registry, and call [`ObsRuntime::finish_or_exit`] after the run to
-//! drain per-job profiles and write the summary artifact. With none of
-//! the flags given the runtime is inert and the binary's outputs are
-//! byte-identical to the uninstrumented ones.
+//! `--run-dir DIR` is the one artifact flag ([`horus_obs::rundir`]):
+//! `summary.json` (the end-of-run obs summary), `spans.json` (per-job
+//! lifecycle spans, queued → leased → executing → pushed → committed),
+//! `logs.ndjson` (every accepted structured-log record),
+//! `progress.ndjson` (the harness's progress events) and
+//! `drain-trace.json` (a Chrome trace of one probed drain, shrunk to a
+//! 2 MB LLC under `--quick`). A file appears only when its signal was
+//! produced.
 //!
-//! `--out` is accepted as an alias for `--trace-out` (one binary
-//! historically spelled it that way; both now work everywhere). A
-//! binary with flags of its own composes them onto the shared set via
+//! `--metrics-addr` and `--run-dir` drive an [`ObsRuntime`]: build it
+//! once with [`HarnessArgs::obs_or_exit`], construct the harness through
+//! [`HarnessArgs::harness_with`] so sweep metrics, spans and progress
+//! land in the session, and call [`ObsRuntime::finish_or_exit`] after
+//! the run to drain per-job profiles and write the run directory. With
+//! neither flag given the runtime is inert, nothing is written, and the
+//! binary's outputs are byte-identical to the uninstrumented ones; with
+//! them, stdout is still byte-identical.
+//!
+//! A binary with flags of its own composes them onto the shared set via
 //! [`HarnessArgs::parse_from_with`] — its handler sees every flag
-//! first, so it may claim a shared spelling (e.g. `bench-gate` keeps
-//! `--out` for its snapshot path) without forking the parser.
+//! first, so it may claim a shared spelling for itself or refuse a
+//! shared flag it does not read, without forking the parser.
 
 use horus_core::{DrainScheme, SystemConfig};
 use horus_harness::{Harness, HarnessOptions, JobSpec, ProgressMode, SweepBackend};
-use horus_obs::{log, ObsOptions, ObsSession};
+use horus_obs::{log, rundir, ObsOptions, ObsSession};
 use horus_service::ServiceBackend;
 use horus_sim::chrome_trace_json;
 use horus_workload::FillPattern;
@@ -57,37 +59,26 @@ pub struct HarnessArgs {
     pub cache_dir: Option<PathBuf>,
     /// `--no-cache`.
     pub no_cache: bool,
-    /// `--progress`.
-    pub progress: bool,
     /// `--quick`.
     pub quick: bool,
-    /// `--trace-out FILE`.
-    pub trace_out: Option<PathBuf>,
     /// `--metrics-addr ADDR`.
     pub metrics_addr: Option<String>,
-    /// `--dashboard`.
-    pub dashboard: bool,
-    /// `--obs-out FILE`.
-    pub obs_out: Option<PathBuf>,
+    /// `--run-dir DIR`.
+    pub run_dir: Option<PathBuf>,
     /// `--service ADDR`.
     pub service: Option<String>,
     /// `--service-tenant NAME`.
     pub service_tenant: Option<String>,
-    /// `--span-out FILE`.
-    pub span_out: Option<PathBuf>,
     /// `--sim-threads N`.
     pub sim_threads: Option<usize>,
     /// `--log-level LVL`.
     pub log_level: Option<log::Level>,
-    /// `--log-json`.
-    pub log_json: bool,
 }
 
 /// The usage string fragment for the shared flags.
-pub const HARNESS_USAGE: &str = "[--jobs N] [--cache-dir DIR] [--no-cache] [--progress] \
-     [--quick] [--trace-out FILE] [--metrics-addr ADDR] [--dashboard] [--obs-out FILE] \
-     [--service ADDR] [--service-tenant NAME] [--span-out FILE] \
-     [--sim-threads N] [--log-level LVL] [--log-json]";
+pub const HARNESS_USAGE: &str = "[--jobs N] [--cache-dir DIR] [--no-cache] [--quick] \
+     [--metrics-addr ADDR] [--run-dir DIR] [--service ADDR] [--service-tenant NAME] \
+     [--sim-threads N] [--log-level LVL]";
 
 impl HarnessArgs {
     /// Parses the process arguments; unknown flags are an error.
@@ -104,8 +95,9 @@ impl HarnessArgs {
     /// composed in. `extra` is offered every flag *before* the shared
     /// parser; it returns `Ok(true)` after consuming one (pulling any
     /// value from the iterator itself), `Ok(false)` to pass it through
-    /// to the shared set, or `Err` to reject its value. Because `extra`
-    /// runs first, a binary may claim a shared spelling for itself.
+    /// to the shared set, or `Err` to reject it or its value. Because
+    /// `extra` runs first, a binary may claim a shared spelling for
+    /// itself, or refuse a shared flag it would otherwise ignore.
     pub fn parse_from_with(
         argv: impl Iterator<Item = String>,
         mut extra: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
@@ -130,20 +122,14 @@ impl HarnessArgs {
                     args.cache_dir = Some(PathBuf::from(v));
                 }
                 "--no-cache" => args.no_cache = true,
-                "--progress" => args.progress = true,
                 "--quick" => args.quick = true,
-                "--trace-out" | "--out" => {
-                    let v = it.next().ok_or(format!("{a} requires a value"))?;
-                    args.trace_out = Some(PathBuf::from(v));
-                }
                 "--metrics-addr" => {
                     let v = it.next().ok_or("--metrics-addr requires a value")?;
                     args.metrics_addr = Some(v);
                 }
-                "--dashboard" => args.dashboard = true,
-                "--obs-out" => {
-                    let v = it.next().ok_or("--obs-out requires a value")?;
-                    args.obs_out = Some(PathBuf::from(v));
+                "--run-dir" => {
+                    let v = it.next().ok_or("--run-dir requires a value")?;
+                    args.run_dir = Some(PathBuf::from(v));
                 }
                 "--service" => {
                     let v = it.next().ok_or("--service requires a value")?;
@@ -152,10 +138,6 @@ impl HarnessArgs {
                 "--service-tenant" => {
                     let v = it.next().ok_or("--service-tenant requires a value")?;
                     args.service_tenant = Some(v);
-                }
-                "--span-out" => {
-                    let v = it.next().ok_or("--span-out requires a value")?;
-                    args.span_out = Some(PathBuf::from(v));
                 }
                 "--sim-threads" => {
                     let v = it.next().ok_or("--sim-threads requires a value")?;
@@ -172,7 +154,6 @@ impl HarnessArgs {
                             .ok_or(format!("--log-level {v}: expected debug|info|warn|error"))?,
                     );
                 }
-                "--log-json" => args.log_json = true,
                 other => return Err(format!("unknown flag '{other}' ({HARNESS_USAGE})")),
             }
         }
@@ -191,33 +172,22 @@ impl HarnessArgs {
     }
 
     /// Builds the harness with `obs`'s registry attached (when a session
-    /// is running), so sweep metrics stream to the scrape endpoint,
-    /// dashboard, and summary artifact.
-    ///
-    /// Progress-mode resolution: `--progress` always streams JSON
-    /// lines; a `--dashboard` request that could not become a live
-    /// panel (stderr is not a TTY) *degrades* to the JSON-lines stream
-    /// rather than going dark; a live dashboard keeps line progress off
-    /// so the two don't fight over stderr.
+    /// is running), so sweep metrics stream to the scrape endpoint and
+    /// the run summary; with a run directory, spans and progress events
+    /// go there too.
     #[must_use]
     pub fn harness_with(&self, obs: &ObsRuntime) -> Harness {
-        let dashboard_live = obs
-            .session
-            .as_ref()
-            .is_some_and(ObsSession::dashboard_active);
-        let progress = if self.progress || (self.dashboard && !dashboard_live) {
-            ProgressMode::JsonLines
-        } else {
-            ProgressMode::Silent
-        };
+        let session = obs.session.as_ref();
         Harness::new(HarnessOptions {
             jobs: self.jobs,
             cache_dir: self.cache_dir.clone(),
             no_cache: self.no_cache,
-            progress,
-            metrics: obs.session.as_ref().map(ObsSession::registry),
+            progress: session
+                .and_then(ObsSession::progress_file)
+                .map_or(ProgressMode::Silent, ProgressMode::Ndjson),
+            metrics: session.map(ObsSession::registry),
             backend: self.backend(),
-            spans: obs.session.as_ref().and_then(ObsSession::span_book),
+            spans: session.and_then(ObsSession::span_book),
         })
     }
 
@@ -245,42 +215,26 @@ impl HarnessArgs {
         horus_sim::EpisodeShards::new(self.sim_threads.unwrap_or(1))
     }
 
-    /// The [`ObsOptions`] these flags describe. When telemetry was
-    /// requested but no `--obs-out` path given, the summary defaults to
-    /// `obs-summary.json` in the working directory (gitignored).
+    /// The [`ObsOptions`] these flags describe.
     #[must_use]
     pub fn obs_options(&self) -> ObsOptions {
-        let summary_out = self.obs_out.clone().or_else(|| {
-            (self.metrics_addr.is_some() || self.dashboard)
-                .then(|| PathBuf::from("obs-summary.json"))
-        });
         ObsOptions {
             metrics_addr: self.metrics_addr.clone(),
-            dashboard: self.dashboard,
-            summary_out,
-            span_out: self.span_out.clone(),
+            run_dir: self.run_dir.clone(),
         }
     }
 
-    /// Starts the telemetry session these flags describe (inert when no
-    /// obs flag was given), exiting the process when the metrics address
-    /// cannot be bound. Announces the scrape URL on stderr so an
+    /// Applies `--log-level` to the process-wide structured logger,
+    /// then starts the telemetry session these flags describe (inert
+    /// when neither `--metrics-addr` nor `--run-dir` was given), exiting
+    /// the process when the metrics address cannot be bound or the run
+    /// directory created. Announces the scrape URL on stderr so an
     /// operator can curl it mid-run.
-    /// Applies `--log-level` / `--log-json` to the process-wide
-    /// structured logger. Idempotent; a no-op when neither flag was
-    /// given (so the logger keeps its defaults).
-    pub fn apply_log_flags(&self) {
+    #[must_use]
+    pub fn obs_or_exit(&self) -> ObsRuntime {
         if let Some(level) = self.log_level {
             log::set_level(level);
         }
-        if self.log_json {
-            log::set_json_stderr(true);
-        }
-    }
-
-    #[must_use]
-    pub fn obs_or_exit(&self) -> ObsRuntime {
-        self.apply_log_flags();
         let opts = self.obs_options();
         if !opts.is_active() {
             return ObsRuntime { session: None };
@@ -301,20 +255,20 @@ impl HarnessArgs {
         }
     }
 
-    /// When `--trace-out FILE` was given, runs one probed worst-case
-    /// drain of `scheme` under `cfg` (shrunk to a 2 MB LLC under
-    /// `--quick`) and writes its Chrome-trace-event JSON to FILE —
+    /// With `--run-dir DIR`, runs one probed worst-case drain of
+    /// `scheme` under `cfg` (shrunk to a 2 MB LLC under `--quick`) and
+    /// writes its Chrome-trace-event JSON to `DIR/drain-trace.json` —
     /// loadable in Perfetto / `chrome://tracing`. A no-op otherwise.
     ///
     /// # Errors
     ///
-    /// Returns an error when FILE cannot be written.
+    /// Returns an error when the file cannot be written.
     pub fn write_trace_if_requested(
         &self,
         cfg: &SystemConfig,
         scheme: DrainScheme,
     ) -> Result<(), String> {
-        let Some(path) = &self.trace_out else {
+        let Some(dir) = &self.run_dir else {
             return Ok(());
         };
         let cfg = if self.quick {
@@ -329,7 +283,9 @@ impl HarnessArgs {
         );
         let (result, trace) = spec.execute_traced();
         let json = chrome_trace_json(&trace);
-        std::fs::write(path, json.as_bytes()).map_err(|e| format!("{}: {e}", path.display()))?;
+        std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+        let path = dir.join(rundir::DRAIN_TRACE);
+        std::fs::write(&path, json.as_bytes()).map_err(|e| format!("{}: {e}", path.display()))?;
         let bounding = result
             .drain
             .critical_path
@@ -384,7 +340,8 @@ impl HarnessArgs {
 }
 
 /// One run's telemetry, as requested on the command line: an
-/// [`ObsSession`] when any obs flag was given, inert otherwise.
+/// [`ObsSession`] when `--metrics-addr` or `--run-dir` was given, inert
+/// otherwise.
 ///
 /// Lifecycle in a binary's `main`:
 ///
@@ -407,15 +364,15 @@ impl ObsRuntime {
         self.session.is_some()
     }
 
-    /// Drains the harness's per-job profiles, writes the summary
-    /// artifact, and stops the endpoint/dashboard; exits the process if
-    /// the summary cannot be written. A no-op for an inert runtime.
+    /// Drains the harness's per-job profiles, writes the run directory,
+    /// and stops the endpoint; exits the process if an artifact cannot
+    /// be written. A no-op for an inert runtime.
     pub fn finish_or_exit(self, harness: &Harness) {
         let Some(session) = self.session else {
             return;
         };
         match session.finish(harness.take_job_profiles()) {
-            Ok(Some(path)) => eprintln!("obs: wrote run summary -> {}", path.display()),
+            Ok(Some(dir)) => eprintln!("obs: wrote run artifacts -> {}", dir.display()),
             Ok(None) => {}
             Err(e) => {
                 eprintln!("error: {e}");
@@ -433,6 +390,13 @@ mod tests {
         HarnessArgs::parse_from(args.iter().map(|s| (*s).to_owned()))
     }
 
+    /// A fresh, empty run directory under the system temp dir.
+    fn temp_run_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("horus-cli-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
     #[test]
     fn parses_all_flags() {
         let a = parse(&[
@@ -441,13 +405,12 @@ mod tests {
             "--cache-dir",
             "/tmp/x",
             "--no-cache",
-            "--progress",
             "--quick",
         ])
         .expect("valid");
         assert_eq!(a.jobs, Some(8));
         assert_eq!(a.cache_dir, Some(PathBuf::from("/tmp/x")));
-        assert!(a.no_cache && a.progress && a.quick);
+        assert!(a.no_cache && a.quick);
         assert_eq!(a.harness().jobs(), 8);
     }
 
@@ -465,29 +428,27 @@ mod tests {
     }
 
     #[test]
-    fn trace_out_parses_and_writes_chrome_json() {
-        let a = parse(&["--trace-out", "/tmp/t.json", "--quick"]).expect("valid");
-        assert_eq!(a.trace_out, Some(PathBuf::from("/tmp/t.json")));
-        assert!(parse(&["--trace-out"]).is_err());
+    fn run_dir_parses_and_writes_the_drain_trace() {
+        let a = parse(&["--run-dir", "/tmp/run", "--quick"]).expect("valid");
+        assert_eq!(a.run_dir, Some(PathBuf::from("/tmp/run")));
+        assert!(parse(&["--run-dir"]).is_err());
 
-        let dir = std::env::temp_dir().join("horus-trace-out-test");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("drain.json");
+        let dir = temp_run_dir("trace");
         let args = HarnessArgs {
-            trace_out: Some(path.clone()),
+            run_dir: Some(dir.clone()),
             quick: true,
             ..HarnessArgs::default()
         };
         args.write_trace_if_requested(&SystemConfig::small_test(), DrainScheme::HorusSlm)
             .expect("trace written");
-        let json = std::fs::read_to_string(&path).expect("read back");
+        let json = std::fs::read_to_string(dir.join(rundir::DRAIN_TRACE)).expect("read back");
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("pcm-bank"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn no_trace_out_is_a_no_op() {
+    fn no_run_dir_is_a_no_op() {
         let args = parse(&[]).expect("valid");
         args.write_trace_if_requested(&SystemConfig::small_test(), DrainScheme::NonSecure)
             .expect("no-op");
@@ -522,10 +483,20 @@ mod tests {
     }
 
     #[test]
-    fn out_is_an_alias_for_trace_out() {
-        let a = parse(&["--out", "/tmp/t.json"]).expect("valid");
-        assert_eq!(a.trace_out, Some(PathBuf::from("/tmp/t.json")));
-        assert!(parse(&["--out"]).is_err());
+    fn deleted_output_flags_are_rejected() {
+        // The six flags `--run-dir` replaced, plus the `--out` alias.
+        for flag in [
+            "--obs-out",
+            "--span-out",
+            "--trace-out",
+            "--out",
+            "--dashboard",
+            "--progress",
+            "--log-json",
+        ] {
+            let err = parse(&[flag, "x.json"]).expect_err(flag);
+            assert!(err.contains(&format!("unknown flag '{flag}'")), "{err}");
+        }
     }
 
     #[test]
@@ -551,24 +522,33 @@ mod tests {
 
     #[test]
     fn extra_handler_can_claim_a_shared_spelling() {
-        // A binary that owns `--out` (like bench-gate's snapshot path)
-        // sees it before the shared alias does.
-        let mut snapshot_out = None;
+        // A binary may own a shared spelling (it sees the flag first)...
+        let mut own_quick = false;
         let a = HarnessArgs::parse_from_with(
-            ["--out", "snap.json", "--trace-out", "t.json"]
-                .iter()
-                .map(|s| (*s).to_owned()),
-            |flag, it| match flag {
-                "--out" => {
-                    snapshot_out = it.next();
+            ["--quick", "--jobs", "3"].iter().map(|s| (*s).to_owned()),
+            |flag, _| match flag {
+                "--quick" => {
+                    own_quick = true;
                     Ok(true)
                 }
                 _ => Ok(false),
             },
         )
         .expect("valid");
-        assert_eq!(snapshot_out.as_deref(), Some("snap.json"));
-        assert_eq!(a.trace_out, Some(PathBuf::from("t.json")));
+        assert!(own_quick && !a.quick);
+        assert_eq!(a.jobs, Some(3));
+        // ...or refuse a shared flag it would otherwise ignore.
+        let refused = HarnessArgs::parse_from_with(
+            ["--cache-dir", "c"].iter().map(|s| (*s).to_owned()),
+            |flag, _| match flag {
+                "--cache-dir" => Err(format!("this binary does not take {flag}")),
+                _ => Ok(false),
+            },
+        );
+        assert_eq!(
+            refused.unwrap_err(),
+            "this binary does not take --cache-dir"
+        );
     }
 
     #[test]
@@ -589,7 +569,7 @@ mod tests {
     #[test]
     fn defaults_are_cache_on_silent() {
         let a = parse(&[]).expect("valid");
-        assert!(!a.no_cache && !a.progress && !a.quick);
+        assert!(!a.no_cache && !a.quick && a.run_dir.is_none());
         let h = a.harness();
         assert!(h.cache().is_some());
         assert!(h.jobs() >= 1);
@@ -616,69 +596,80 @@ mod tests {
         let a = parse(&[
             "--metrics-addr",
             "127.0.0.1:0",
-            "--dashboard",
-            "--obs-out",
-            "/tmp/summary.json",
+            "--run-dir",
+            "/tmp/run",
+            "--log-level",
+            "warn",
         ])
         .expect("valid");
         assert_eq!(a.metrics_addr.as_deref(), Some("127.0.0.1:0"));
-        assert!(a.dashboard);
-        assert_eq!(a.obs_out, Some(PathBuf::from("/tmp/summary.json")));
-        assert!(parse(&["--metrics-addr"]).is_err());
-        assert!(parse(&["--obs-out"]).is_err());
-    }
-
-    #[test]
-    fn span_and_log_flags_parse() {
-        let a = parse(&[
-            "--span-out",
-            "/tmp/spans.json",
-            "--log-level",
-            "warn",
-            "--log-json",
-        ])
-        .expect("valid");
-        assert_eq!(a.span_out, Some(PathBuf::from("/tmp/spans.json")));
+        assert_eq!(a.run_dir, Some(PathBuf::from("/tmp/run")));
         assert_eq!(a.log_level, Some(log::Level::Warn));
-        assert!(a.log_json);
-        // --span-out alone activates the obs session (so the book gets
-        // created and drained even with no other telemetry flag).
-        assert!(a.obs_options().is_active());
-        assert!(parse(&["--span-out"]).is_err());
+        assert!(parse(&["--metrics-addr"]).is_err());
         assert!(parse(&["--log-level"]).is_err());
         assert!(parse(&["--log-level", "loud"]).is_err());
+        // --run-dir alone activates the obs session.
+        assert!(parse(&["--run-dir", "/tmp/run"])
+            .expect("valid")
+            .obs_options()
+            .is_active());
+    }
+
+    /// What a `repro-*` main prints for a small Figure 6, and its run
+    /// directory's file names, for `argv`.
+    fn figure6_run(argv: &[&str]) -> (String, Vec<String>) {
+        let a = parse(argv).expect("valid");
+        let obs = a.obs_or_exit();
+        let h = a.harness_with(&obs);
+        let cfg = SystemConfig::small_test();
+        let stdout = crate::figures::figure6(&h, &cfg).render();
+        a.trace_or_exit(&cfg, DrainScheme::HorusSlm);
+        obs.finish_or_exit(&h);
+        let mut files: Vec<String> = a
+            .run_dir
+            .iter()
+            .flat_map(|dir| std::fs::read_dir(dir).expect("run dir"))
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        (stdout, files)
     }
 
     #[test]
-    fn span_out_threads_a_book_into_local_sweeps() {
-        let dir = std::env::temp_dir().join(format!("horus-cli-span-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let out = dir.join("spans.json");
-        let a = parse(&[
-            "--span-out",
-            out.to_str().expect("utf8 temp path"),
-            "--no-cache",
-            "--jobs",
-            "2",
-            "--quick",
-        ])
-        .expect("valid");
-        let obs = a.obs_or_exit();
-        assert!(obs.active());
-        let h = a.harness_with(&obs);
-        let cfg = SystemConfig::small_test();
-        let specs = vec![JobSpec::drain(
-            &cfg,
-            DrainScheme::NonSecure,
-            FillPattern::StridedSparse { min_stride: 16384 },
-        )];
-        let report = h.run(&specs);
-        assert_eq!(report.executed, 1);
-        obs.finish_or_exit(&h);
-        let json = std::fs::read_to_string(&out).expect("span trace written");
-        assert!(json.starts_with("{\"traceEvents\":["), "{json}");
-        assert!(json.contains("\"name\":\"queued\""), "{json}");
-        assert!(json.contains("\"name\":\"committed\""), "{json}");
+    fn run_dir_sweep_leaves_its_artifacts_and_the_same_report() {
+        let dir = temp_run_dir("sweep");
+        let dir_arg = dir.to_str().expect("utf8 temp path");
+        let (plain, none) = figure6_run(&["--no-cache", "--jobs", "2"]);
+        assert!(none.is_empty());
+        let (observed, files) = figure6_run(&["--no-cache", "--jobs", "2", "--run-dir", dir_arg]);
+        assert_eq!(observed, plain, "stdout is byte-identical with --run-dir");
+        for name in [
+            rundir::SUMMARY,
+            rundir::SPANS,
+            rundir::PROGRESS,
+            rundir::DRAIN_TRACE,
+        ] {
+            assert!(files.iter().any(|f| f == name), "{name} missing: {files:?}");
+        }
+        let spans = std::fs::read_to_string(dir.join(rundir::SPANS)).expect("spans");
+        assert!(spans.starts_with("{\"traceEvents\":["), "{spans}");
+        assert!(spans.contains("\"name\":\"committed\""), "{spans}");
+        let progress = std::fs::read_to_string(dir.join(rundir::PROGRESS)).expect("progress");
+        let lines: Vec<&str> = progress.lines().collect();
+        assert!(
+            lines[0].starts_with("{\"event\":\"sweep_start\""),
+            "{progress}"
+        );
+        assert!(
+            lines[lines.len() - 1].starts_with("{\"event\":\"sweep_end\""),
+            "{progress}"
+        );
+        for (seq, line) in lines.iter().enumerate() {
+            assert!(line.contains(&format!(",\"seq\":{seq},")), "{line}");
+        }
+        let summary = std::fs::read_to_string(dir.join(rundir::SUMMARY)).expect("summary");
+        assert!(summary.contains("\"format_version\": 1"), "{summary}");
+        assert!(summary.contains("horus_harness_jobs_completed_total"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -694,28 +685,23 @@ mod tests {
     }
 
     #[test]
-    fn obs_summary_path_defaults_when_telemetry_is_on() {
+    fn metrics_addr_alone_writes_no_file() {
         let a = parse(&["--metrics-addr", "127.0.0.1:0"]).expect("valid");
         let opts = a.obs_options();
-        assert_eq!(opts.summary_out, Some(PathBuf::from("obs-summary.json")));
-        // An explicit --obs-out wins.
-        let a = parse(&["--obs-out", "/tmp/s.json"]).expect("valid");
-        assert_eq!(
-            a.obs_options().summary_out,
-            Some(PathBuf::from("/tmp/s.json"))
-        );
+        assert!(opts.is_active() && opts.run_dir.is_none());
+        let session = ObsSession::start(&opts).expect("bind");
+        assert!(session.span_book().is_none() && session.progress_file().is_none());
+        assert_eq!(session.finish(Vec::new()).expect("finish"), None);
     }
 
     #[test]
     fn obs_session_attaches_a_registry_to_the_harness() {
-        let dir = std::env::temp_dir().join(format!("horus-cli-obs-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let out = dir.join("summary.json");
+        let dir = temp_run_dir("obs");
         let a = parse(&[
             "--metrics-addr",
             "127.0.0.1:0",
-            "--obs-out",
-            out.to_str().expect("utf8 temp path"),
+            "--run-dir",
+            dir.to_str().expect("utf8 temp path"),
             "--no-cache",
             "--jobs",
             "1",
@@ -727,7 +713,7 @@ mod tests {
         assert!(h.metrics().is_some());
         h.run_tasks(1, |_| 7u32);
         obs.finish_or_exit(&h);
-        let json = std::fs::read_to_string(&out).expect("summary written");
+        let json = std::fs::read_to_string(dir.join(rundir::SUMMARY)).expect("summary written");
         assert!(
             json.contains("horus_harness_jobs_completed_total"),
             "{json}"

@@ -356,8 +356,9 @@ pub fn run(harness: &Harness, plan: &ReproPlan) -> ReproAll {
          `drain.metadata`, `drain.finish`) and hierarchy-walk markers.\n\
          Timestamps and durations are simulated cycles; each slice\n\
          carries its `ready` time and queueing `wait` in its args.\n\n\
-         Every `repro-*` binary accepts `--trace-out FILE` to record\n\
-         the drain behind its headline number the same way. In this\n\
+         Every `repro-*` binary given `--run-dir DIR` records the\n\
+         drain behind its headline number the same way, as\n\
+         `DIR/drain-trace.json`. In this\n\
          model every scheme is ultimately PCM-bank-bound — Horus\n\
          because 16-way bank parallelism is the only wall left, the\n\
          baselines because their metadata traffic piles onto the same\n\
@@ -429,16 +430,16 @@ re-measures the smoke plan's headline op counts against the committed
 `cargo run --release -p horus-bench --bin bench-gate -- --update` when
 a model change legitimately moves the numbers.
 
-## Watching the fleet live — Prometheus scrape and dashboard
+## Watching the fleet live — Prometheus scrape and run directory
 
 Every `repro-*` binary and `horus-cli sweep`/`crash-sweep` can export
 fleet telemetry while it runs (`horus-obs`; see ARCHITECTURE.md,
 "Fleet observability"). Start the crash sweep with a metrics
-endpoint:
+endpoint and a run directory:
 
 ```
 cargo run --release -p horus-bench --bin repro-crash -- \
-    --metrics-addr 127.0.0.1:9464
+    --metrics-addr 127.0.0.1:9464 --run-dir crash-run
 ```
 
 and scrape it mid-run from another terminal:
@@ -457,35 +458,33 @@ horus_harness_worker_busy_seconds_total{worker="0"} 3.41
 ```
 
 The endpoint speaks Prometheus/OpenMetrics text, so `curl | grep` is
-already a usable dashboard and a real Prometheus needs no
+already a usable live view and a real Prometheus needs no
 configuration beyond the address. Queue depth and per-worker busy
 seconds say whether the pool is starved; the per-scheme op totals and
 live `*_per_second` gauges say what it is chewing through; and
 `horus_crash_verdicts_total` above is the sweep's verdict matrix
 accumulating scheme by scheme while it runs.
 
-Prefer a terminal view? `--dashboard` renders the same registry as a
-live in-place TTY panel — completion bar, queue depth and ETA, worker
-occupancy, cache-hit rate, episodes/s / sim-cycles/s / mem-ops/s —
-and degrades to the `--progress` JSON-lines stream when stdout is not
-a TTY, so redirecting to a file never captures control codes.
+`--run-dir DIR` is where everything else a run produces goes. At exit
+`DIR/summary.json` holds the final registry snapshot plus a per-job
+host profile (wall vs CPU seconds, peak RSS; allocation totals too
+when built with `--features horus-obs/alloc-profile`). While the run
+goes, the harness appends one progress event per line to
+`DIR/progress.ndjson` (jobs done/total, ETA, per-job cycles and
+memory ops; `tail -f` it) and every structured-log record lands in
+`DIR/logs.ndjson`; a sweep that stamps job spans writes
+`DIR/spans.json`, and a `repro-*` binary adds the probed drain as
+`DIR/drain-trace.json`. A file appears only when its signal was
+produced. The summary's counters match the final scrape, and the
+deterministic subset of the scrape — everything except host/timing
+families — is byte-identical whatever `--jobs` was. Stdout is
+byte-identical with and without either flag; with neither, no thread,
+socket, or file is created.
 
-Either flag (or an explicit `--obs-out PATH`) also makes the run
-write `obs-summary.json` at exit: the final registry snapshot plus a
-per-job host profile (wall vs CPU seconds, peak RSS; allocation
-totals too when built with `--features horus-obs/alloc-profile`). The
-summary's counters match the final scrape, and the deterministic
-subset of the scrape — everything except host/timing families — is
-byte-identical whatever `--jobs` was. With none of these flags given,
-no thread, socket, or file is created and all output is byte-for-byte
-what a telemetry-free build prints.
-
-`horus-cli serve-metrics [--addr 127.0.0.1:9464] [--for-seconds N]`
-serves a standalone host-metrics endpoint (CPU seconds, peak RSS,
-uptime) when you want a scrape target without a sweep. In CI the
-`obs-smoke` job runs a quick sweep with `--metrics-addr`, curls the
-endpoint mid-run, asserts the scrape is well-formed non-empty
-exposition text, and uploads `obs-summary.json` as an artifact; the
+In CI the `obs-smoke` job runs `horus-cli sweep --llc 8,16` with
+`--metrics-addr` and `--run-dir`, curls the endpoint mid-run, asserts
+the scrape is well-formed non-empty exposition text and the summary
+matches the plan, and uploads the run directory as an artifact; the
 `bench regression gate` diffs the `host_profile` section of
 `BENCH_smoke.json` informationally (pass `--gate-host-profile` to
 fail on >50% regressions).
@@ -548,7 +547,7 @@ enforces exactly this scenario, plus a service restart: with a
 resumes them. The `horus_fleet_workers`,
 `horus_fleet_leases_in_flight`, and `horus_fleet_requeues_total`
 families on the service's `/metrics` make the whole lifecycle
-visible on the dashboard or a Prometheus scrape.
+visible on a Prometheus scrape.
 
 ## Tracing the fleet — job lifecycle spans and structured logs
 
@@ -556,20 +555,20 @@ The drain-episode probe above traces *inside* one simulated episode;
 `horus-span` traces the *job around it* as it moves through the fleet:
 queued → leased → executing → pushed → committed, one timeline across
 every host (see ARCHITECTURE.md, "Fleet tracing & logging"). Run the
-2-worker setup from the previous section, but give the service a span
-artifact:
+2-worker setup from the previous section, but give the service a run
+directory:
 
 ```
 cargo run --release --bin horus-cli -- serve \
     --addr 127.0.0.1:9470 --jobs 0 --cache-dir fleet-cache \
-    --span-out fleet-spans.json
+    --run-dir fleet-run
 ```
 
 start the two workers, submit `sweep --llc 8,16 --json --service
 127.0.0.1:9470` exactly as before, and `POST /v1/shutdown`: the
-service writes `fleet-spans.json` as it exits.
+service writes `fleet-run/spans.json` as it exits.
 
-`fleet-spans.json` is Chrome-trace JSON from the same writer as the
+`fleet-run/spans.json` is Chrome-trace JSON from the same writer as the
 drain probe's export: drop it on [Perfetto](https://ui.perfetto.dev)
 (or `chrome://tracing`) and each worker is a track, each job five
 spans — queue wait, lease-to-execute gap, execution, push, commit.
@@ -577,8 +576,8 @@ Worker clocks are normalized to the service's clock from the
 registration round trip, so cross-host spans line up on one timeline;
 stamps are clamped per-job-monotonic at render. The same stage
 durations feed `horus_fleet_job_stage_seconds{stage=...}` histograms
-on the scrape, the dashboard's `stage mean` line, and
-`obs-summary.json`, and `GET /v1/jobs/{id}` derives each plan's stage
+on the scrape and in `fleet-run/summary.json`, and
+`GET /v1/jobs/{id}` derives each plan's stage
 stamps from its jobs' spans.
 
 The fleet's diagnostics are structured, too: every service and worker
@@ -593,17 +592,19 @@ $ curl -s http://127.0.0.1:9470/logs | head -2
 {"ts_ms":…,"seq":1,"level":"info","target":"service","msg":"submission admitted","fields":{"job":"0","tenant":"anonymous","key":"…","deduped":"false","trace_id":"…"}}
 ```
 
-`--log-level debug|info|warn|error` sets the threshold and `--log-json`
-mirrors the NDJSON to stderr (the human-readable form is the default).
-Local sweeps trace the same way without any service: `--span-out` on
-any `repro-*` binary or `horus-cli sweep` stamps the five stages on
-the local pool (workers named `local-N`) and writes the same Perfetto
-timeline at exit. Spans are observe-only: with the flags off, outputs
+`--log-level debug|info|warn|error` sets the threshold; stderr gets a
+human-readable mirror, and with `--run-dir` every accepted record is
+also appended, in the ring's exact NDJSON form, to
+`fleet-run/logs.ndjson`. Local sweeps trace the same way without any
+service: `--run-dir` on any `repro-*` binary or `horus-cli sweep`
+stamps the five stages on the local pool (workers named `local-N`)
+and writes the same Perfetto timeline at exit. Spans are
+observe-only: with the flags off, outputs
 are byte-identical to a span-free build, and the stage histograms are
 excluded from the deterministic scrape subset by name. The CI
 `fleet-smoke` job runs this exact 2-worker recipe, asserts every
 committed job carries all five stages monotonically, probes `/healthz`
-and `/logs`, and uploads `fleet-spans.json` as an artifact.
+and `/logs`, and uploads the run directory as an artifact.
 
 ## Benchmarking the simulator itself
 

@@ -1,23 +1,26 @@
 //! Structured progress reporting.
 //!
-//! The harness streams one JSON object per line to stderr (stdout stays
-//! clean for experiment output), so sweeps can be watched by humans or
-//! piped into `jq`/dashboards. Events carry jobs done/total, an ETA
-//! extrapolated from executed jobs, and per-job cycle and memory-op
-//! counts.
+//! The harness appends one JSON object per line to the run directory's
+//! `progress.ndjson` (stdout stays clean for experiment output), so a
+//! sweep can be followed with `tail -f` or piped into `jq`. Events
+//! carry jobs done/total, an ETA extrapolated from executed jobs, and
+//! per-job cycle and memory-op counts.
 
+use horus_obs::NdjsonFile;
 use serde::Serialize;
-use std::io::Write;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How the harness reports progress.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Default)]
 pub enum ProgressMode {
     /// No progress output (the default; right for tests and libraries).
     #[default]
     Silent,
-    /// One JSON object per line on stderr.
-    JsonLines,
+    /// One JSON object per line, appended to the stream (the run
+    /// directory's `progress.ndjson`,
+    /// `horus_obs::ObsSession::progress_file`).
+    Ndjson(Arc<NdjsonFile>),
 }
 
 /// One progress event, serialized as a JSON line.
@@ -165,21 +168,21 @@ impl Progress {
     ///
     /// The line is written with a single `write_all`, so concurrent
     /// workers never interleave partial lines. The sequence number is
-    /// assigned *under the stderr lock*, so line order on the stream
+    /// assigned *under the stream's lock*, so line order on the stream
     /// always matches `seq` order — a consumer seeing `seq` jump by more
     /// than one knows lines were dropped, not reordered.
     pub fn emit(&self, mut event: ProgressEvent) {
-        if self.mode == ProgressMode::Silent {
+        let ProgressMode::Ndjson(stream) = &self.mode else {
             return;
-        }
+        };
         event.elapsed_s = self.elapsed_s();
         event.unix_ms = unix_ms_now();
-        let mut err = std::io::stderr().lock();
-        event.seq = self.seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if let Ok(mut line) = serde_json::to_string(&event) {
-            line.push('\n');
-            let _ = err.write_all(line.as_bytes());
-        }
+        stream.append(|line| {
+            event.seq = self.seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if let Ok(json) = serde_json::to_string(&event) {
+                line.push_str(&json);
+            }
+        });
     }
 }
 
@@ -235,11 +238,20 @@ mod tests {
 
     #[test]
     fn sequence_numbers_are_consecutive_per_emitter() {
-        let p = Progress::start(ProgressMode::JsonLines);
+        let path =
+            std::env::temp_dir().join(format!("horus-progress-seq-{}.ndjson", std::process::id()));
+        let p = Progress::start(ProgressMode::Ndjson(Arc::new(NdjsonFile::new(&path))));
         assert_eq!(p.emitted(), 0);
         p.emit(ProgressEvent::new("sweep_start", 2));
         p.emit(ProgressEvent::new("sweep_end", 2));
         assert_eq!(p.emitted(), 2);
+        let text = std::fs::read_to_string(&path).expect("progress stream written");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "{text}");
+        assert!(lines[0].starts_with("{\"event\":\"sweep_start\",\"done\":0,\"total\":2,"));
+        assert!(lines[0].contains(",\"seq\":0,\"unix_ms\":"), "{text}");
+        assert!(lines[1].contains(",\"seq\":1,\"unix_ms\":"), "{text}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -270,7 +270,7 @@ impl Harness {
     }
 
     fn run_local(&self, specs: &[JobSpec], trace: Option<&str>) -> SweepReport {
-        let progress = Progress::start(self.progress);
+        let progress = Progress::start(self.progress.clone());
         let mut start = ProgressEvent::new("sweep_start", specs.len());
         start.workers = Some(self.pool());
         progress.emit(start);
@@ -493,7 +493,7 @@ impl Harness {
         specs: &[JobSpec],
         trace: Option<&str>,
     ) -> SweepReport {
-        let progress = Progress::start(self.progress);
+        let progress = Progress::start(self.progress.clone());
         progress.emit(ProgressEvent::new("sweep_start", specs.len()));
 
         let metrics = self

@@ -38,7 +38,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -206,12 +206,27 @@ pub trait Router: Send + Sync {
     fn route(&self, req: &HttpRequest) -> Option<HttpResponse>;
 }
 
+/// Connection handlers still running, and a signal when one finishes.
+type InFlight = Arc<(Mutex<usize>, Condvar)>;
+
+/// Counts one connection handler in [`InFlight`] until dropped.
+struct HandlerGuard(InFlight);
+
+impl Drop for HandlerGuard {
+    fn drop(&mut self) {
+        let (count, done) = &*self.0;
+        *count.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
+        done.notify_all();
+    }
+}
+
 /// A running scrape endpoint; dropping it stops the listener thread.
 pub struct MetricsServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     ready: Arc<AtomicBool>,
     router: Arc<Mutex<Option<Arc<dyn Router>>>>,
+    in_flight: InFlight,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -235,14 +250,26 @@ impl MetricsServer {
         let flag = Arc::clone(&shutdown);
         let ready_flag = Arc::clone(&ready);
         let router_slot = Arc::clone(&router);
+        let in_flight: InFlight = Arc::default();
+        let handlers = Arc::clone(&in_flight);
         let handle = std::thread::Builder::new()
             .name("horus-obs-http".to_string())
-            .spawn(move || serve(&listener, &registry, &flag, &ready_flag, &router_slot))?;
+            .spawn(move || {
+                serve(
+                    &listener,
+                    &registry,
+                    &flag,
+                    &ready_flag,
+                    &router_slot,
+                    &handlers,
+                );
+            })?;
         Ok(MetricsServer {
             addr: local,
             shutdown,
             ready,
             router,
+            in_flight,
             handle: Some(handle),
         })
     }
@@ -264,7 +291,10 @@ impl MetricsServer {
         *self.router.lock().expect("router slot poisoned") = Some(router);
     }
 
-    /// Stops the listener thread and waits for it to exit.
+    /// Stops the listener thread and waits for it to exit, then for
+    /// the connections it accepted to be answered (at most
+    /// [`READ_DEADLINE`]). A daemon that exits after `shutdown` so
+    /// still answers the request that told it to stop.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -276,6 +306,9 @@ impl MetricsServer {
             // already went away.
             let _ = TcpStream::connect(self.addr);
             let _ = handle.join();
+            let (count, done) = &*self.in_flight;
+            let open = count.lock().unwrap_or_else(PoisonError::into_inner);
+            let _ = done.wait_timeout_while(open, READ_DEADLINE, |n| *n > 0);
         }
     }
 }
@@ -292,6 +325,7 @@ fn serve(
     shutdown: &Arc<AtomicBool>,
     ready: &Arc<AtomicBool>,
     router: &Arc<Mutex<Option<Arc<dyn Router>>>>,
+    in_flight: &InFlight,
 ) {
     for conn in listener.incoming() {
         if shutdown.load(Ordering::SeqCst) {
@@ -305,9 +339,14 @@ fn serve(
         let registry = Arc::clone(registry);
         let ready = Arc::clone(ready);
         let router = router.lock().expect("router slot poisoned").clone();
+        // Counted before the thread exists, so a shutdown racing the
+        // spawn still waits for it.
+        *in_flight.0.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        let guard = HandlerGuard(Arc::clone(in_flight));
         let spawned = std::thread::Builder::new()
             .name("horus-obs-conn".to_string())
             .spawn(move || {
+                let _guard = guard;
                 let _ = handle_connection(stream, &registry, &ready, router.as_deref());
             });
         if spawned.is_err() {
@@ -573,8 +612,8 @@ fn logs_response(query: Option<&str>) -> HttpResponse {
 
 /// Performs a plain HTTP `GET` against `addr` at `path` and returns
 /// `(status_line, body)`. This is the client half of the scrape endpoint,
-/// used by `serve-metrics`-adjacent tooling and the golden tests; it speaks
-/// just enough HTTP/1.1 for [`MetricsServer`].
+/// used by in-process tooling (the service benchmark) and the golden
+/// tests; it speaks just enough HTTP/1.1 for [`MetricsServer`].
 ///
 /// # Errors
 /// Returns the underlying I/O error if the connection or read fails.
@@ -673,6 +712,49 @@ fn request_raw(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Answers `/slow` after a pause, flagging when it started and when
+    /// it returned.
+    struct SlowRouter {
+        started: Arc<AtomicBool>,
+        answered: Arc<AtomicBool>,
+    }
+
+    impl Router for SlowRouter {
+        fn route(&self, req: &HttpRequest) -> Option<HttpResponse> {
+            if req.path != "/slow" {
+                return None;
+            }
+            self.started.store(true, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(300));
+            self.answered.store(true, Ordering::SeqCst);
+            Some(HttpResponse::json("200 OK", "{\"stopping\":true}\n"))
+        }
+    }
+
+    #[test]
+    fn shutdown_waits_for_requests_in_flight() {
+        let server = MetricsServer::bind("127.0.0.1:0", Registry::shared()).expect("bind");
+        let started = Arc::new(AtomicBool::new(false));
+        let answered = Arc::new(AtomicBool::new(false));
+        server.set_router(Arc::new(SlowRouter {
+            started: Arc::clone(&started),
+            answered: Arc::clone(&answered),
+        }));
+        let addr = server.local_addr();
+        let client = std::thread::spawn(move || http_get(addr, "/slow"));
+        while !started.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        server.shutdown();
+        assert!(
+            answered.load(Ordering::SeqCst),
+            "shutdown returned while a request was still being answered"
+        );
+        let (status, body) = client.join().expect("client").expect("response");
+        assert!(status.contains("200"), "{status}");
+        assert_eq!(body, "{\"stopping\":true}\n");
+    }
 
     #[test]
     fn serves_metrics_and_404() {

@@ -1,9 +1,10 @@
 //! Offline cross-signal analyzer behind `horus-cli insight`.
 //!
 //! One run of the service (or a fleet sweep) leaves up to three
-//! correlated artifacts behind: the `obs-summary.json` registry-and-
-//! profile freeze (`--obs-out`), the Chrome-trace span timeline
-//! (`--span-out`), and the structured NDJSON log stream (`--log-json`).
+//! correlated artifacts in its `--run-dir` ([`crate::rundir`]): the
+//! `summary.json` registry-and-profile freeze, the `spans.json`
+//! Chrome-trace span timeline, and the `logs.ndjson` structured log
+//! stream.
 //! Each carries the trace ids minted at admission
 //! ([`crate::span::mint_trace_id`]) — profiles in their `trace` field,
 //! span events in `args.trace`, log lines in a `trace_id` field. This
@@ -29,13 +30,45 @@ pub const FORMAT_VERSION: u32 = 1;
 /// The artifact texts to analyze; any subset may be present.
 #[derive(Debug, Clone, Default)]
 pub struct InsightInputs {
-    /// `obs-summary.json` contents (`--obs-out`).
+    /// `summary.json` contents.
     pub obs_summary: Option<String>,
-    /// Chrome-trace span timeline contents (`--span-out`).
+    /// `spans.json` Chrome-trace span timeline contents.
     pub spans: Option<String>,
-    /// NDJSON structured-log contents (`--log-json` stderr capture or
-    /// a `GET /logs` body).
+    /// `logs.ndjson` structured-log contents (or a `GET /logs` body).
     pub logs: Option<String>,
+}
+
+impl InsightInputs {
+    /// Reads whichever of the three artifacts `dir` holds.
+    ///
+    /// # Errors
+    /// Returns a message when a present file cannot be read, or when the
+    /// directory holds none of them.
+    pub fn from_run_dir(dir: &std::path::Path) -> Result<InsightInputs, String> {
+        let read = |name: &str| -> Result<Option<String>, String> {
+            let path = dir.join(name);
+            match std::fs::read_to_string(&path) {
+                Ok(text) => Ok(Some(text)),
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+                Err(e) => Err(format!("{}: {e}", path.display())),
+            }
+        };
+        let inputs = InsightInputs {
+            obs_summary: read(crate::rundir::SUMMARY)?,
+            spans: read(crate::rundir::SPANS)?,
+            logs: read(crate::rundir::LOGS)?,
+        };
+        if inputs.obs_summary.is_none() && inputs.spans.is_none() && inputs.logs.is_none() {
+            return Err(format!(
+                "{} holds none of {}, {}, {}",
+                dir.display(),
+                crate::rundir::SUMMARY,
+                crate::rundir::SPANS,
+                crate::rundir::LOGS
+            ));
+        }
+        Ok(inputs)
+    }
 }
 
 /// Everything known about one trace id after the join.
@@ -62,11 +95,11 @@ pub struct TraceStory {
     pub stage_seconds: BTreeMap<String, f64>,
     /// Structured-log lines carrying this trace id.
     pub log_lines: u64,
-    /// Present in the profile signal (`obs-summary.json`).
+    /// Present in the profile signal (`summary.json`).
     pub in_profiles: bool,
-    /// Present in the span signal (`--span-out`).
+    /// Present in the span signal (`spans.json`).
     pub in_spans: bool,
-    /// Present in the log signal (`--log-json`).
+    /// Present in the log signal (`logs.ndjson`).
     pub in_logs: bool,
 }
 
@@ -543,7 +576,7 @@ pub fn analyze(inputs: &InsightInputs) -> Result<Insight, String> {
 
     if let Some(text) = &inputs.obs_summary {
         insight.have_profiles = true;
-        let doc = serde_json::from_str::<Value>(text).map_err(|e| format!("obs-summary: {e}"))?;
+        let doc = serde_json::from_str::<Value>(text).map_err(|e| format!("summary.json: {e}"))?;
         for job in doc.get("jobs").and_then(Value::as_array).unwrap_or(&[]) {
             let Some(trace) = job.get("trace").and_then(Value::as_str) else {
                 insight.untraced_profiles += 1;
@@ -808,5 +841,25 @@ mod tests {
             json.contains("\"orphan_spans\": [\"feedfacefeedface\"]"),
             "{json}"
         );
+    }
+
+    #[test]
+    fn run_dir_inputs_are_the_files_it_holds() {
+        let dir = std::env::temp_dir().join(format!("horus-insight-dir-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        assert!(
+            InsightInputs::from_run_dir(&dir).is_err(),
+            "an empty dir is an error"
+        );
+        let sample = sample_inputs();
+        let spans = sample.spans.clone().expect("spans");
+        let logs = sample.logs.clone().expect("logs");
+        std::fs::write(dir.join(crate::rundir::SPANS), &spans).expect("write");
+        std::fs::write(dir.join(crate::rundir::LOGS), &logs).expect("write");
+        let read = InsightInputs::from_run_dir(&dir).expect("read");
+        assert_eq!(read.obs_summary, None, "absent files stay absent");
+        assert_eq!(read.spans.as_deref(), Some(spans.as_str()));
+        assert_eq!(read.logs.as_deref(), Some(logs.as_str()));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -10,36 +10,36 @@
 //! * [`expo`] — Prometheus/OpenMetrics text rendering plus the name-based
 //!   determinism rule golden tests rely on.
 //! * [`http`] — a zero-dependency blocking scrape endpoint
-//!   (`GET /metrics`), used by `horus-cli serve-metrics` and the
-//!   `--metrics-addr` flag on the sweep binaries.
-//! * [`dashboard`] — a live TTY panel fed from registry snapshots,
-//!   degrading to the JSON-lines progress stream off-TTY.
+//!   (`GET /metrics`), behind the `--metrics-addr` flag on the sweep
+//!   binaries and the listener `horus-cli serve` mounts its API on.
 //! * [`profile`] — per-job and whole-process host profiles (wall vs CPU
 //!   time via `/proc` with a portable fallback, peak RSS, and a counting
 //!   global allocator behind the `alloc-profile` feature).
 //! * [`bridge`] — read-only mirroring of `horus_sim::Stats` counters into
 //!   the registry, guaranteed not to perturb serialized `StatsRepr`.
-//! * [`summary`] — the deterministic end-of-run `obs-summary.json`
-//!   artifact that CI uploads and `bench-gate` folds into its baseline.
+//! * [`rundir`] — the `--run-dir DIR` layout: the artifact file names
+//!   and the lazily created NDJSON streams.
+//! * [`summary`] — the deterministic end-of-run `summary.json` artifact
+//!   that CI uploads and `bench-gate` folds into its baseline.
 //! * [`span`] — per-job lifecycle spans
 //!   (queued → leased → executing → pushed → committed) assembled into a
-//!   cross-host Chrome-trace timeline (`--span-out`).
+//!   cross-host Chrome-trace timeline (`spans.json`).
 //! * [`log`] — leveled structured line-delimited-JSON logging with an
-//!   in-memory ring served at `GET /logs` (`--log-level`, `--log-json`).
+//!   in-memory ring served at `GET /logs` (`--log-level`), copied to
+//!   `logs.ndjson` in the run directory.
 //! * [`insight`] — the offline cross-signal analyzer behind
-//!   `horus-cli insight`: joins summary, span, and log artifacts by
-//!   trace id into one `insight.json` + human report.
+//!   `horus-cli insight DIR`: joins a run directory's summary, span, and
+//!   log artifacts by trace id into one `insight.json` + human report.
 //!
-//! Everything is observe-only: with no `--metrics-addr`/`--dashboard` flag
+//! Everything is observe-only: with no `--metrics-addr`/`--run-dir` flag
 //! and `alloc-profile` off, instrumented binaries produce byte-identical
-//! outputs to uninstrumented ones.
+//! outputs to uninstrumented ones and write no file.
 
 #![cfg_attr(not(feature = "alloc-profile"), forbid(unsafe_code))]
 #![cfg_attr(feature = "alloc-profile", deny(unsafe_code))]
 #![warn(missing_docs)]
 
 pub mod bridge;
-pub mod dashboard;
 pub mod expo;
 pub mod http;
 pub mod insight;
@@ -47,10 +47,10 @@ pub mod log;
 pub mod names;
 pub mod profile;
 pub mod registry;
+pub mod rundir;
 pub mod span;
 pub mod summary;
 
-pub use dashboard::Dashboard;
 pub use http::{HttpRequest, HttpResponse, MetricsServer, Router};
 pub use profile::{HostProfile, JobProfile, JobProfiler};
 pub use registry::{
@@ -60,60 +60,74 @@ pub use registry::{
 pub use span::{JobSpan, SpanBook, Stage};
 pub use summary::ObsSummary;
 
-use std::path::{Path, PathBuf};
+pub use rundir::NdjsonFile;
+
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// What a caller wants observed; parsed from `--metrics-addr`,
-/// `--dashboard`, `--obs-out`, and `--span-out`.
+/// What a caller wants observed; parsed from `--metrics-addr` and
+/// `--run-dir`.
 #[derive(Debug, Clone, Default)]
 pub struct ObsOptions {
     /// Address to serve `GET /metrics` on (e.g. `127.0.0.1:9464`).
     pub metrics_addr: Option<String>,
-    /// Render the live TTY dashboard (falls back to line progress
-    /// off-TTY).
-    pub dashboard: bool,
-    /// Where to write the end-of-run summary artifact.
-    pub summary_out: Option<PathBuf>,
-    /// Where to write the end-of-run Chrome-trace span timeline.
-    pub span_out: Option<PathBuf>,
+    /// Directory the run's artifacts go to (see [`rundir`]).
+    pub run_dir: Option<PathBuf>,
 }
 
 impl ObsOptions {
     /// True if any observation output was requested.
     #[must_use]
     pub fn is_active(&self) -> bool {
-        self.metrics_addr.is_some()
-            || self.dashboard
-            || self.summary_out.is_some()
-            || self.span_out.is_some()
+        self.metrics_addr.is_some() || self.run_dir.is_some()
     }
+}
+
+/// The run directory's live pieces: the span book and progress stream
+/// handed to the harness or service, and where they end up.
+struct RunOutputs {
+    dir: PathBuf,
+    spans: Arc<SpanBook>,
+    progress: Arc<NdjsonFile>,
 }
 
 /// One run's worth of telemetry: a registry plus the requested outputs.
 ///
 /// Construct with [`ObsSession::start`], hand
-/// [`ObsSession::registry`] to the harness, and call
-/// [`ObsSession::finish`] when the run is done to stop the endpoint /
-/// dashboard and write the summary artifact.
+/// [`ObsSession::registry`] (and, with a run directory,
+/// [`ObsSession::span_book`] and [`ObsSession::progress_file`]) to the
+/// harness, and call [`ObsSession::finish`] when the run is done to
+/// stop the endpoint and write the run directory.
 pub struct ObsSession {
     registry: Arc<Registry>,
     server: Option<MetricsServer>,
-    dashboard: Option<Dashboard>,
-    summary_out: Option<PathBuf>,
-    spans: Option<Arc<SpanBook>>,
-    span_out: Option<PathBuf>,
+    run: Option<RunOutputs>,
     started: Instant,
 }
 
 impl ObsSession {
-    /// Starts serving/rendering according to `opts`.
+    /// Starts serving according to `opts`. With a run directory, creates
+    /// it and routes every accepted log record to its [`rundir::LOGS`]
+    /// until [`ObsSession::finish`].
     ///
     /// # Errors
     /// Returns a descriptive message if the metrics address cannot be
-    /// bound.
+    /// bound or the run directory cannot be created.
     pub fn start(opts: &ObsOptions) -> Result<ObsSession, String> {
         let registry = Registry::shared();
+        let run = match &opts.run_dir {
+            Some(dir) => {
+                std::fs::create_dir_all(dir)
+                    .map_err(|e| format!("cannot create run dir {}: {e}", dir.display()))?;
+                Some(RunOutputs {
+                    dir: dir.clone(),
+                    spans: SpanBook::shared(),
+                    progress: Arc::new(NdjsonFile::new(dir.join(rundir::PROGRESS))),
+                })
+            }
+            None => None,
+        };
         let server = match &opts.metrics_addr {
             Some(addr) => Some(
                 MetricsServer::bind(addr, Arc::clone(&registry))
@@ -121,19 +135,13 @@ impl ObsSession {
             ),
             None => None,
         };
-        let dashboard = if opts.dashboard {
-            Dashboard::start(Arc::clone(&registry))
-        } else {
-            None
-        };
-        let spans = opts.span_out.as_ref().map(|_| SpanBook::shared());
+        if let Some(run) = &run {
+            log::set_file(Some(Arc::new(NdjsonFile::new(run.dir.join(rundir::LOGS)))));
+        }
         Ok(ObsSession {
             registry,
             server,
-            dashboard,
-            summary_out: opts.summary_out.clone(),
-            spans,
-            span_out: opts.span_out.clone(),
+            run,
             started: Instant::now(),
         })
     }
@@ -144,25 +152,24 @@ impl ObsSession {
         Arc::clone(&self.registry)
     }
 
-    /// True if the live dashboard is actually rendering (requested *and*
-    /// stderr is a TTY).
-    #[must_use]
-    pub fn dashboard_active(&self) -> bool {
-        self.dashboard.is_some()
-    }
-
     /// The bound scrape address, when a server is running.
     #[must_use]
     pub fn metrics_addr(&self) -> Option<std::net::SocketAddr> {
         self.server.as_ref().map(MetricsServer::local_addr)
     }
 
-    /// The span collector, when `--span-out` asked for a timeline.
+    /// The span collector, when a run directory will keep the timeline.
     /// Hand it to the harness pool or the experiment service; whatever
     /// gets stamped into it is written at [`ObsSession::finish`].
     #[must_use]
     pub fn span_book(&self) -> Option<Arc<SpanBook>> {
-        self.spans.as_ref().map(Arc::clone)
+        self.run.as_ref().map(|run| Arc::clone(&run.spans))
+    }
+
+    /// The run directory's progress-event stream, for the harness.
+    #[must_use]
+    pub fn progress_file(&self) -> Option<Arc<NdjsonFile>> {
+        self.run.as_ref().map(|run| Arc::clone(&run.progress))
     }
 
     /// Forwards to [`MetricsServer::set_ready`] when a server is
@@ -183,31 +190,32 @@ impl ObsSession {
         }
     }
 
-    /// Stops the dashboard and endpoint, captures the host profile, and
-    /// writes the summary and span-timeline artifacts if requested.
-    /// Returns the summary path written, if any.
+    /// Stops the endpoint and, with a run directory, detaches the log
+    /// stream, writes [`rundir::SPANS`] (when a span was stamped) and
+    /// [`rundir::SUMMARY`] with the host profile and `jobs`. Returns the
+    /// run directory written, if any.
     ///
     /// # Errors
     /// Returns a descriptive message if an artifact cannot be written.
     pub fn finish(self, jobs: Vec<JobProfile>) -> Result<Option<PathBuf>, String> {
-        if let Some(dash) = self.dashboard {
-            dash.stop();
-        }
-        if let (Some(path), Some(book)) = (&self.span_out, &self.spans) {
-            std::fs::write(path, book.chrome_trace_json())
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        }
-        let written = match &self.summary_out {
-            Some(path) => {
+        let written = match self.run {
+            Some(run) => {
+                log::set_file(None);
+                let cannot =
+                    |path: &std::path::Path, e| format!("cannot write {}: {e}", path.display());
+                if !run.spans.is_empty() {
+                    let path = run.dir.join(rundir::SPANS);
+                    std::fs::write(&path, run.spans.chrome_trace_json())
+                        .map_err(|e| cannot(&path, e))?;
+                }
                 let summary = ObsSummary {
                     host: profile::host_profile(self.started.elapsed().as_secs_f64()),
                     jobs,
                     registry: self.registry.snapshot(),
                 };
-                summary
-                    .write(path)
-                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                Some(path.clone())
+                let path = run.dir.join(rundir::SUMMARY);
+                summary.write(&path).map_err(|e| cannot(&path, e))?;
+                Some(run.dir)
             }
             None => None,
         };
@@ -218,19 +226,6 @@ impl ObsSession {
     }
 }
 
-/// Convenience wrapper: capture a [`HostProfile`] for a run that started
-/// at `started`.
-#[must_use]
-pub fn host_profile_since(started: Instant) -> HostProfile {
-    profile::host_profile(started.elapsed().as_secs_f64())
-}
-
-/// Re-exported summary writer location helper: the default artifact name.
-#[must_use]
-pub fn default_summary_path(dir: &Path) -> PathBuf {
-    dir.join("obs-summary.json")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,14 +233,12 @@ mod tests {
     #[test]
     fn session_serves_and_writes_summary() {
         let dir = std::env::temp_dir().join(format!("horus-obs-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let out = dir.join("obs-summary.json");
         let opts = ObsOptions {
             metrics_addr: Some("127.0.0.1:0".to_string()),
-            summary_out: Some(out.clone()),
-            ..ObsOptions::default()
+            run_dir: Some(dir.clone()),
         };
         let session = ObsSession::start(&opts).expect("start");
+        assert!(dir.is_dir(), "the run dir exists from the start");
         session
             .registry()
             .counter(names::JOBS_COMPLETED, "h", &[])
@@ -255,9 +248,14 @@ mod tests {
         assert!(status.contains("200"));
         assert!(body.contains("horus_harness_jobs_completed_total 2"));
         let written = session.finish(Vec::new()).expect("finish");
-        assert_eq!(written.as_deref(), Some(out.as_path()));
-        let json = std::fs::read_to_string(&out).expect("read");
+        assert_eq!(written.as_deref(), Some(dir.as_path()));
+        let json = std::fs::read_to_string(dir.join(rundir::SUMMARY)).expect("read");
         assert!(json.contains("horus_harness_jobs_completed_total"));
+        assert!(!dir.join(rundir::SPANS).exists(), "no span, no spans.json");
+        assert!(
+            !dir.join(rundir::PROGRESS).exists(),
+            "no event, no progress.ndjson"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -265,7 +263,7 @@ mod tests {
     fn inactive_options() {
         assert!(!ObsOptions::default().is_active());
         assert!(ObsOptions {
-            dashboard: true,
+            run_dir: Some(PathBuf::from("run")),
             ..ObsOptions::default()
         }
         .is_active());

@@ -9,19 +9,23 @@
 //! * renders every accepted record as one line-delimited JSON object
 //!   and keeps the most recent [`RING_CAPACITY`] of them in a ring
 //!   buffer served at `GET /logs` by [`crate::http::MetricsServer`],
-//! * mirrors records to stderr — human-readable by default
-//!   (`target: message key=value ...`), raw JSON under `--log-json` —
-//!   so existing "watch the daemon's stderr" workflows keep working.
+//! * appends the same line to the run directory's `logs.ndjson` while
+//!   an [`crate::ObsSession`] with a run directory is open
+//!   ([`set_file`]),
+//! * mirrors records to stderr human-readable
+//!   (`target: message key=value ...`), so existing "watch the daemon's
+//!   stderr" workflows keep working.
 //!
 //! Like the rest of the obs stack it is observe-only: the line layout
 //! is fixed here (strings go through `serde_json::write_str`), the ring
 //! is a mutexed `VecDeque`, and nothing here ever touches job results,
 //! content keys, or any other determinism-bearing output.
 
+use crate::rundir::NdjsonFile;
 use std::collections::VecDeque;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Maximum JSON lines retained in the in-memory ring (`GET /logs`
@@ -81,19 +85,32 @@ impl Level {
 /// The process-global logger state.
 struct Logger {
     min_level: AtomicU8,
-    json_stderr: AtomicBool,
     seq: AtomicU64,
-    ring: Mutex<VecDeque<String>>,
+    ring: Mutex<Ring>,
+}
+
+/// The recent lines, and the run directory's copy of every line. The
+/// file rides under the ring's lock, so a process with no run directory
+/// pays one `None` check for it and both keep the same order.
+struct Ring {
+    lines: VecDeque<String>,
+    file: Option<Arc<NdjsonFile>>,
 }
 
 fn global() -> &'static Logger {
     static LOGGER: OnceLock<Logger> = OnceLock::new();
     LOGGER.get_or_init(|| Logger {
         min_level: AtomicU8::new(Level::Info as u8),
-        json_stderr: AtomicBool::new(false),
         seq: AtomicU64::new(0),
-        ring: Mutex::new(VecDeque::with_capacity(RING_CAPACITY)),
+        ring: Mutex::new(Ring {
+            lines: VecDeque::with_capacity(RING_CAPACITY),
+            file: None,
+        }),
     })
+}
+
+fn ring() -> std::sync::MutexGuard<'static, Ring> {
+    global().ring.lock().expect("obs log ring poisoned")
 }
 
 /// Sets the minimum level a record needs to be kept (ring) and printed
@@ -108,15 +125,17 @@ pub fn level() -> Level {
     Level::from_u8(global().min_level.load(Ordering::Relaxed))
 }
 
-/// Switches the stderr mirror between human-readable lines (default)
-/// and the raw JSON the ring stores (`--log-json`).
-pub fn set_json_stderr(json: bool) {
-    global().json_stderr.store(json, Ordering::Relaxed);
+/// Sends a copy of every accepted record from now on to `file`
+/// (`None` stops copying). [`crate::ObsSession`] points this at the run
+/// directory's `logs.ndjson` for the life of the session.
+pub fn set_file(file: Option<Arc<NdjsonFile>>) {
+    ring().file = file;
 }
 
-/// Records one structured event: JSON into the ring, a mirror line on
-/// stderr. `fields` are `(name, value)` pairs carried verbatim as JSON
-/// string values.
+/// Records one structured event: JSON into the ring (and the run
+/// directory's log file, when one is set), a human-readable mirror line
+/// on stderr. `fields` are `(name, value)` pairs carried verbatim as
+/// JSON string values.
 pub fn log(level: Level, target: &str, msg: &str, fields: &[(&str, &str)]) {
     let logger = global();
     if (level as u8) < logger.min_level.load(Ordering::Relaxed) {
@@ -146,22 +165,20 @@ pub fn log(level: Level, target: &str, msg: &str, fields: &[(&str, &str)]) {
     }
     line.push_str("}}");
     {
-        let mut ring = logger.ring.lock().expect("obs log ring poisoned");
-        if ring.len() == RING_CAPACITY {
-            ring.pop_front();
+        let mut ring = ring();
+        if let Some(file) = &ring.file {
+            file.append(|out| out.push_str(&line));
         }
-        ring.push_back(line.clone());
-    }
-    let mut err = std::io::stderr().lock();
-    if logger.json_stderr.load(Ordering::Relaxed) {
-        let _ = writeln!(err, "{line}");
-    } else {
-        let mut human = format!("{target}: {msg}");
-        for (k, v) in fields {
-            human.push_str(&format!(" {k}={v}"));
+        if ring.lines.len() == RING_CAPACITY {
+            ring.lines.pop_front();
         }
-        let _ = writeln!(err, "{human}");
+        ring.lines.push_back(line);
     }
+    let mut human = format!("{target}: {msg}");
+    for (k, v) in fields {
+        human.push_str(&format!(" {k}={v}"));
+    }
+    let _ = writeln!(std::io::stderr().lock(), "{human}");
 }
 
 /// Records a debug-level event.
@@ -188,9 +205,8 @@ pub fn error(target: &str, msg: &str, fields: &[(&str, &str)]) {
 /// (the `GET /logs` body). Empty string when nothing has been logged.
 #[must_use]
 pub fn ring_ndjson() -> String {
-    let ring = global().ring.lock().expect("obs log ring poisoned");
     let mut out = String::new();
-    for line in ring.iter() {
+    for line in &ring().lines {
         out.push_str(line);
         out.push('\n');
     }
@@ -220,9 +236,8 @@ pub fn ring_ndjson_filtered(min_level: Option<Level>, trace_id: Option<&str>) ->
         serde_json::write_str(&mut needle, t);
         needle
     });
-    let ring = global().ring.lock().expect("obs log ring poisoned");
     let mut out = String::new();
-    for line in ring.iter() {
+    for line in &ring().lines {
         if !level_needles.is_empty() && !level_needles.iter().any(|n| line.contains(n.as_str())) {
             continue;
         }
@@ -235,12 +250,6 @@ pub fn ring_ndjson_filtered(min_level: Option<Level>, trace_id: Option<&str>) ->
         out.push('\n');
     }
     out
-}
-
-/// Number of records currently held in the ring.
-#[must_use]
-pub fn ring_len() -> usize {
-    global().ring.lock().expect("obs log ring poisoned").len()
 }
 
 #[cfg(test)]
@@ -282,10 +291,33 @@ mod tests {
 
         set_level(Level::Error);
         assert_eq!(level(), Level::Error);
-        let before = ring_len();
         info("fleet", "below threshold", &[]);
-        assert_eq!(ring_len(), before, "info dropped at error threshold");
+        assert!(
+            !ring_ndjson().contains("below threshold"),
+            "info dropped at error threshold"
+        );
         set_level(Level::Info);
+
+        // A run directory's log file gets the ring's exact lines while
+        // it is set, and nothing after.
+        let path =
+            std::env::temp_dir().join(format!("horus-log-file-{}.ndjson", std::process::id()));
+        set_file(Some(Arc::new(NdjsonFile::new(&path))));
+        error(
+            "fleet",
+            "copied to the run dir",
+            &[("trace_id", "feed0002")],
+        );
+        set_file(None);
+        error("fleet", "after the session", &[]);
+        let copied = std::fs::read_to_string(&path).expect("log file written");
+        let line = copied
+            .lines()
+            .find(|l| l.contains("copied to the run dir"))
+            .expect("record copied");
+        assert!(ring_ndjson().lines().any(|l| l == line), "{line}");
+        assert!(!copied.contains("after the session"), "{copied}");
+        std::fs::remove_file(&path).ok();
 
         // Server-side filters reuse the same ring (still one test: the
         // logger is process-global).

@@ -1,5 +1,5 @@
 //! Canonical metric names shared by the harness, bench layer, CLI,
-//! dashboard, and tests.
+//! run summary, and tests.
 //!
 //! Keeping the names in one place is what makes the label-cardinality and
 //! determinism rules auditable: every family the workspace emits is listed

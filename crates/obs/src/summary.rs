@@ -1,4 +1,4 @@
-//! End-of-run `obs-summary.json` artifact.
+//! End-of-run `summary.json` artifact (in the run directory).
 //!
 //! The summary freezes everything the scrape endpoint could have told you,
 //! plus the per-job host profiles: a [`HostProfile`] for the whole process,
@@ -19,7 +19,7 @@ use crate::registry::{SampleValue, Snapshot};
 /// Schema version stamped into every summary.
 pub const FORMAT_VERSION: u32 = 1;
 
-/// Everything written to `obs-summary.json`.
+/// Everything written to `summary.json`.
 #[derive(Debug, Clone)]
 pub struct ObsSummary {
     /// Whole-process resource usage.

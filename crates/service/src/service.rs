@@ -19,7 +19,7 @@
 //!   serializes to (that is the soak lane's headline assertion).
 //! * `GET /v1/tenants/{t}` — the governor's live per-tenant accounting.
 //! * `POST /v1/shutdown` — stop admitting, drain the queue, let
-//!   `horus-cli serve` exit cleanly (so `obs-summary.json` gets
+//!   `horus-cli serve` exit cleanly (so its `--run-dir` artifacts get
 //!   written).
 //!
 //! Remote workers ([`crate::worker`], `horus-cli fleet-worker`) use:
@@ -223,7 +223,7 @@ struct Metrics {
 impl Metrics {
     fn new(registry: Arc<Registry>, tenants: &[String]) -> Metrics {
         // Pre-register every family at zero so scrapes and the
-        // obs-summary carry them even when nothing happened to them.
+        // the run summary carry them even when nothing happened to them.
         let m = Metrics {
             admission: registry.time_histogram(
                 names::SERVICE_ADMISSION_SECONDS,

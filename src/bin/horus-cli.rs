@@ -5,12 +5,11 @@
 //! horus-cli drain   --scheme horus-slm [--llc-mb 16] [--stride 16384] [--json]
 //! horus-cli recover --scheme horus-dlm [--llc-mb 8] [--write-through]
 //! horus-cli attack  --kind splice [--scheme horus-slm]
-//! horus-cli sweep   --llc 8,16,32 [--jobs N] [--cache-dir DIR] [--no-cache] [--progress] [--json] [--service ADDR]
-//! horus-cli crash-sweep [--quick] [--points N] [--model torn|stale|garbled] [--jobs N] [--out FILE] [--json]
-//! horus-cli serve [--addr 127.0.0.1:9900] [--tenant-config FILE] [--jobs N] [--cache-dir DIR]
+//! horus-cli sweep   [--llc 8,16,32] [--json] [--jobs N] [--cache-dir DIR] [--no-cache] [--service ADDR] [--run-dir DIR]
+//! horus-cli crash-sweep [--quick] [--points N] [--model torn|stale|garbled] [--jobs N] [--out FILE] [--json] [--run-dir DIR]
+//! horus-cli serve [--addr 127.0.0.1:9900] [--tenant-config FILE] [--jobs N] [--cache-dir DIR] [--run-dir DIR]
 //! horus-cli fleet-worker --connect HOST:PORT [--jobs N] [--name NAME]
-//! horus-cli serve-metrics [--addr 127.0.0.1:9464] [--for-seconds S]
-//! horus-cli insight [--obs FILE] [--spans FILE] [--logs FILE] [--out FILE] [--top N] [--json]
+//! horus-cli insight DIR [--out FILE] [--top N] [--json]
 //! ```
 //!
 //! `sweep` runs on the `horus-harness` worker pool: points execute in
@@ -25,25 +24,27 @@
 //! persistent state left behind, and classifies each point; it exits
 //! nonzero if a Horus scheme ever silently returns corrupted data.
 //!
-//! `sweep` and `crash-sweep` also take the fleet-telemetry flags:
+//! `sweep` and `crash-sweep` parse their flags with the one shared
+//! parser the `repro-*` binaries use (`horus_bench::cli::HarnessArgs`):
 //! `--metrics-addr ADDR` serves live Prometheus text (`GET /metrics`)
-//! for the duration of the run, `--dashboard` renders the live TTY
-//! panel (degrading to `--progress` JSON lines off-TTY), and
-//! `--obs-out FILE` writes the end-of-run obs summary JSON. With none
-//! of them given, output is byte-identical to the uninstrumented run.
-//! `serve-metrics` stands up the scrape endpoint on its own, exposing
-//! this process's host profile — useful for smoke-testing a Prometheus
-//! scrape config against the exposition format.
+//! for the duration of the run, and `--run-dir DIR` (also on `serve`)
+//! collects the run's artifacts — `summary.json`, `spans.json`,
+//! `logs.ndjson`, `progress.ndjson` — which `insight DIR` joins. With
+//! neither, nothing is written; with either, stdout is byte-identical.
+//!
+//! Every subcommand rejects a flag it does not read, and every one takes
+//! `--log-level`.
 
+use horus::bench::cli::HarnessArgs;
 use horus::bench::crash_sweep as bench_crash;
 use horus::core::{
     attack, DrainScheme, PersistenceDomain, RecoveryMode, SecureEpdSystem, SystemConfig,
     TornWriteModel,
 };
 use horus::energy::{Battery, DrainEnergyModel};
-use horus::harness::{Harness, HarnessOptions, JobSpec, ProgressMode, SweepBackend};
-use horus::obs::{log, MetricsServer, ObsOptions, ObsSession, Registry, SpanBook};
-use horus::service::{run_worker, ServiceBackend, ServiceConfig, WorkerOptions};
+use horus::harness::{Harness, HarnessOptions, JobSpec, ProgressMode};
+use horus::obs::{log, ObsOptions, ObsSession, SpanBook};
+use horus::service::{run_worker, ServiceConfig, WorkerOptions};
 use horus::workload::{fill_hierarchy, parse_trace, FillPattern, TraceOp};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -61,33 +62,53 @@ fn parse_scheme(s: &str) -> Result<DrainScheme, String> {
     }
 }
 
-/// Minimal flag parser: `--key value` pairs plus boolean `--flag`s.
+/// One subcommand's arguments: the `--name value` flags in `values`,
+/// the boolean `--name`s in `booleans`, and at most `positionals` bare
+/// arguments. Anything else is an error, never silently ignored.
+/// `--log-level` is accepted everywhere and applied while parsing.
 struct Args {
     positional: Vec<String>,
     flags: Vec<(String, Option<String>)>,
 }
 
 impl Args {
-    fn parse(argv: &[String], booleans: &[&str]) -> Result<Self, String> {
+    fn parse(
+        argv: &[String],
+        values: &[&str],
+        booleans: &[&str],
+        positionals: usize,
+    ) -> Result<Self, String> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
-        let mut it = argv.iter().peekable();
+        let mut it = argv.iter();
         while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                if booleans.contains(&name) {
-                    flags.push((name.to_owned(), None));
-                } else {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| format!("--{name} requires a value"))?
-                        .clone();
-                    flags.push((name.to_owned(), Some(v)));
+            let Some(name) = a.strip_prefix("--") else {
+                if positional.len() == positionals {
+                    return Err(format!("unexpected argument '{a}'"));
                 }
-            } else {
                 positional.push(a.clone());
+                continue;
+            };
+            if booleans.contains(&name) {
+                flags.push((name.to_owned(), None));
+            } else if values.contains(&name) || name == "log-level" {
+                let v = it
+                    .next()
+                    .ok_or_else(|| format!("{a} requires a value"))?
+                    .clone();
+                flags.push((name.to_owned(), Some(v)));
+            } else {
+                return Err(format!("unknown flag '{a}'"));
             }
         }
-        Ok(Self { positional, flags })
+        let args = Self { positional, flags };
+        if let Some(v) = args.get("log-level") {
+            log::set_level(
+                log::Level::parse(v)
+                    .ok_or(format!("--log-level {v}: expected debug|info|warn|error"))?,
+            );
+        }
+        Ok(args)
     }
 
     fn get(&self, name: &str) -> Option<&str> {
@@ -103,6 +124,23 @@ impl Args {
     }
 }
 
+/// Parses a harness-backed subcommand: the shared `repro-*` flag set,
+/// minus the shared flags in `unread` (refused, since `cmd` would
+/// ignore them), plus the subcommand's own flags, which `own` claims.
+fn harness_args(
+    argv: &[String],
+    cmd: &str,
+    unread: &[&str],
+    mut own: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
+) -> Result<HarnessArgs, String> {
+    HarnessArgs::parse_from_with(argv.iter().cloned(), |flag, it| {
+        if unread.contains(&flag) {
+            return Err(format!("{cmd} does not take '{flag}'"));
+        }
+        own(flag, it)
+    })
+}
+
 fn build(llc_mb: u64, stride: u64, scheme: DrainScheme) -> SecureEpdSystem {
     let cfg = SystemConfig::with_llc_bytes(llc_mb << 20);
     let mut sys = SecureEpdSystem::for_scheme(cfg.clone(), scheme);
@@ -115,7 +153,8 @@ fn build(llc_mb: u64, stride: u64, scheme: DrainScheme) -> SecureEpdSystem {
     sys
 }
 
-fn cmd_config() -> Result<(), String> {
+fn cmd_config(argv: &[String]) -> Result<(), String> {
+    Args::parse(argv, &[], &[], 0)?;
     let cfg = SystemConfig::paper_default();
     let summary = horus::core::config::ConfigSummary::of(&cfg);
     println!(
@@ -125,7 +164,8 @@ fn cmd_config() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_drain(args: &Args) -> Result<(), String> {
+fn cmd_drain(argv: &[String]) -> Result<(), String> {
+    let args = Args::parse(argv, &["scheme", "llc-mb", "stride"], &["json"], 0)?;
     let scheme = parse_scheme(args.get("scheme").unwrap_or("horus-slm"))?;
     let llc_mb: u64 = args
         .get("llc-mb")
@@ -171,7 +211,8 @@ fn cmd_drain(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_recover(args: &Args) -> Result<(), String> {
+fn cmd_recover(argv: &[String]) -> Result<(), String> {
+    let args = Args::parse(argv, &["scheme", "llc-mb"], &["write-through", "json"], 0)?;
     let scheme = parse_scheme(args.get("scheme").unwrap_or("horus-slm"))?;
     if !scheme.is_horus() && scheme != DrainScheme::BaseLazy && scheme != DrainScheme::BaseEager {
         return Err("recover needs a secure scheme".into());
@@ -210,7 +251,8 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_attack(args: &Args) -> Result<(), String> {
+fn cmd_attack(argv: &[String]) -> Result<(), String> {
+    let args = Args::parse(argv, &["kind", "scheme"], &[], 0)?;
     let scheme = parse_scheme(args.get("scheme").unwrap_or("horus-slm"))?;
     if !scheme.is_horus() {
         return Err("attacks target the Horus vault; pick horus-slm or horus-dlm".into());
@@ -256,94 +298,23 @@ fn cmd_attack(args: &Args) -> Result<(), String> {
     }
 }
 
-/// Applies the global `--log-level`/`--log-json` flags to the
-/// process-wide structured logger before any subcommand runs.
-fn apply_log_flags(args: &Args) -> Result<(), String> {
-    if let Some(v) = args.get("log-level") {
-        let level = log::Level::parse(v)
-            .ok_or(format!("--log-level {v}: expected debug|info|warn|error"))?;
-        log::set_level(level);
-    }
-    if args.has("log-json") {
-        log::set_json_stderr(true);
-    }
-    Ok(())
-}
-
-/// Starts the telemetry session the `--metrics-addr`/`--dashboard`/
-/// `--obs-out`/`--span-out` flags describe, announcing the scrape URL.
-/// `None` when no obs flag was given. When telemetry is on but no
-/// `--obs-out` path was given, the summary defaults to
-/// `obs-summary.json` (gitignored).
-fn obs_session(args: &Args) -> Result<Option<ObsSession>, String> {
-    let opts = ObsOptions {
-        metrics_addr: args.get("metrics-addr").map(str::to_owned),
-        dashboard: args.has("dashboard"),
-        summary_out: args
-            .get("obs-out")
-            .map(std::path::PathBuf::from)
-            .or_else(|| {
-                (args.get("metrics-addr").is_some() || args.has("dashboard"))
-                    .then(|| std::path::PathBuf::from("obs-summary.json"))
-            }),
-        span_out: args.get("span-out").map(std::path::PathBuf::from),
-    };
-    if !opts.is_active() {
-        return Ok(None);
-    }
-    let session = ObsSession::start(&opts)?;
-    if let Some(addr) = session.metrics_addr() {
-        eprintln!("metrics: serving Prometheus text on http://{addr}/metrics");
-    }
-    Ok(Some(session))
-}
-
-/// The progress mode for a run: explicit `--progress`, or a `--dashboard`
-/// request that could not become a live TTY panel degrading to the
-/// JSON-lines stream.
-fn progress_mode(args: &Args, obs: Option<&ObsSession>) -> ProgressMode {
-    let dashboard_live = obs.is_some_and(ObsSession::dashboard_active);
-    if args.has("progress") || (args.has("dashboard") && !dashboard_live) {
-        ProgressMode::JsonLines
-    } else {
-        ProgressMode::Silent
-    }
-}
-
-/// Drains per-job profiles and writes the summary artifact, if a session
-/// is running.
-fn finish_obs(obs: Option<ObsSession>, harness: &Harness) -> Result<(), String> {
-    if let Some(session) = obs {
-        if let Some(path) = session.finish(harness.take_job_profiles())? {
-            eprintln!("obs: wrote run summary -> {}", path.display());
+fn cmd_sweep(argv: &[String]) -> Result<(), String> {
+    let mut llc = "8,16".to_owned();
+    let mut json = false;
+    let args = harness_args(argv, "sweep", &["--quick", "--sim-threads"], |flag, it| {
+        match flag {
+            "--llc" => llc = it.next().ok_or("--llc requires a value")?,
+            "--json" => json = true,
+            _ => return Ok(false),
         }
-    }
-    Ok(())
-}
-
-fn cmd_sweep(args: &Args) -> Result<(), String> {
-    let llcs: Vec<u64> = args
-        .get("llc")
-        .unwrap_or("8,16")
+        Ok(true)
+    })?;
+    let llcs: Vec<u64> = llc
         .split(',')
         .map(|v| v.trim().parse::<u64>().map_err(|e| format!("--llc: {e}")))
         .collect::<Result<_, _>>()?;
-    let jobs = args
-        .get("jobs")
-        .map(|v| v.parse::<usize>().map_err(|e| format!("--jobs: {e}")))
-        .transpose()?;
-    let obs = obs_session(args)?;
-    let harness = Harness::new(HarnessOptions {
-        jobs,
-        cache_dir: args.get("cache-dir").map(std::path::PathBuf::from),
-        no_cache: args.has("no-cache"),
-        progress: progress_mode(args, obs.as_ref()),
-        metrics: obs.as_ref().map(ObsSession::registry),
-        backend: args
-            .get("service")
-            .map(|addr| Arc::new(ServiceBackend::new(addr)) as Arc<dyn SweepBackend>),
-        spans: obs.as_ref().and_then(ObsSession::span_book),
-    });
+    let obs = args.obs_or_exit();
+    let harness = args.harness_with(&obs);
     let specs: Vec<JobSpec> = llcs
         .iter()
         .flat_map(|mb| {
@@ -378,7 +349,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         report.cache_hits,
         harness.jobs()
     );
-    if args.has("json") {
+    if json {
         println!(
             "{}",
             serde_json::to_string_pretty(&rows).map_err(|e| e.to_string())?
@@ -392,25 +363,51 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
             println!("{mb:>4}MB {scheme:<11} {reqs:>12} {macs:>12} {ms:>10.2}");
         }
     }
-    finish_obs(obs, &harness)
+    obs.finish_or_exit(&harness);
+    Ok(())
 }
 
 /// `crash-sweep`: the crash-point fault-injection matrix. Returns the
 /// process exit code so a Horus silent-corruption classification (or a
 /// panicked trial) fails scripts and CI.
-fn cmd_crash_sweep(args: &Args) -> Result<ExitCode, String> {
-    let mut plan = if args.has("quick") {
+fn cmd_crash_sweep(argv: &[String]) -> Result<ExitCode, String> {
+    let mut points = None;
+    let mut model = None;
+    let mut out = None;
+    let mut json = false;
+    let mut args = harness_args(
+        argv,
+        "crash-sweep",
+        &[
+            "--cache-dir",
+            "--no-cache",
+            "--service",
+            "--service-tenant",
+            "--sim-threads",
+        ],
+        |flag, it| {
+            match flag {
+                "--points" => points = Some(it.next().ok_or("--points requires a value")?),
+                "--model" => model = Some(it.next().ok_or("--model requires a value")?),
+                "--out" => out = Some(it.next().ok_or("--out requires a value")?),
+                "--json" => json = true,
+                _ => return Ok(false),
+            }
+            Ok(true)
+        },
+    )?;
+    let mut plan = if args.quick {
         bench_crash::CrashSweepPlan::quick()
     } else {
         bench_crash::CrashSweepPlan::full()
     };
-    if let Some(points) = args.get("points") {
+    if let Some(points) = points {
         plan.points_per_scheme = points
             .parse::<usize>()
             .map_err(|e| format!("--points: {e}"))?
             .max(2);
     }
-    if let Some(model) = args.get("model") {
+    if let Some(model) = model {
         plan.model = match model.to_ascii_lowercase().as_str() {
             "torn" => TornWriteModel::Torn,
             "stale" => TornWriteModel::Stale,
@@ -422,26 +419,18 @@ fn cmd_crash_sweep(args: &Args) -> Result<ExitCode, String> {
             }
         };
     }
-    let jobs = args
-        .get("jobs")
-        .map(|v| v.parse::<usize>().map_err(|e| format!("--jobs: {e}")))
-        .transpose()?;
-    let obs = obs_session(args)?;
-    let harness = Harness::new(HarnessOptions {
-        jobs,
-        no_cache: true, // crash points are cheap and not JobSpec-shaped
-        progress: progress_mode(args, obs.as_ref()),
-        metrics: obs.as_ref().map(ObsSession::registry),
-        ..HarnessOptions::default()
-    });
+    // Crash points are cheap and not JobSpec-shaped: nothing to cache.
+    args.no_cache = true;
+    let obs = args.obs_or_exit();
+    let harness = args.harness_with(&obs);
     let matrix = bench_crash::run(&harness, &plan);
-    finish_obs(obs, &harness)?;
-    if let Some(out) = args.get("out") {
+    obs.finish_or_exit(&harness);
+    if let Some(out) = &out {
         let json = serde_json::to_string_pretty(&matrix).map_err(|e| e.to_string())?;
         std::fs::write(out, json.as_bytes()).map_err(|e| format!("{out}: {e}"))?;
         eprintln!("crash matrix written to {out}");
     }
-    if args.has("json") {
+    if json {
         println!(
             "{}",
             serde_json::to_string_pretty(&matrix).map_err(|e| e.to_string())?
@@ -465,74 +454,26 @@ fn cmd_crash_sweep(args: &Args) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `serve-metrics`: a standalone Prometheus scrape endpoint exposing
-/// this process's host profile (CPU seconds, peak RSS, uptime),
-/// refreshed every 250 ms. Serves until killed, or for `--for-seconds S`
-/// when given (how the CI smoke job bounds it).
-fn cmd_serve_metrics(args: &Args) -> Result<(), String> {
-    let addr = args.get("addr").unwrap_or("127.0.0.1:9464");
-    let registry = Registry::shared();
-    let server = MetricsServer::bind(addr, std::sync::Arc::clone(&registry))
-        .map_err(|e| format!("cannot bind metrics address {addr}: {e}"))?;
-    eprintln!(
-        "serving Prometheus text on http://{}/metrics (Ctrl-C to stop)",
-        server.local_addr()
-    );
-    let deadline = args
-        .get("for-seconds")
-        .map(|v| v.parse::<f64>().map_err(|e| format!("--for-seconds: {e}")))
-        .transpose()?;
-    let cpu = registry.float_gauge(
-        "horus_host_cpu_seconds",
-        "Process CPU seconds (user + system) of this serve-metrics process.",
-        &[],
-    );
-    let rss = registry.gauge(
-        "horus_host_peak_rss_bytes",
-        "Peak resident set size of this serve-metrics process, bytes.",
-        &[],
-    );
-    let uptime = registry.float_gauge(
-        "horus_host_uptime_seconds",
-        "Seconds since this serve-metrics process started.",
-        &[],
-    );
-    let started = std::time::Instant::now();
-    loop {
-        if let Some(c) = horus::obs::profile::process_cpu_seconds() {
-            cpu.set(c);
-        }
-        if let Some(r) = horus::obs::profile::peak_rss_bytes() {
-            rss.set(i64::try_from(r).unwrap_or(i64::MAX));
-        }
-        uptime.set(started.elapsed().as_secs_f64());
-        if deadline.is_some_and(|d| started.elapsed().as_secs_f64() >= d) {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(250));
-    }
-    server.shutdown();
-    Ok(())
-}
-
 /// `serve`: the multi-tenant experiment API. Mounts the
 /// `horus-service` router in front of the obs HTTP server, so one
 /// listener answers `/v1/jobs`, the worker routes, `/metrics`,
 /// `/healthz`, and `/readyz`. `--jobs 0` keeps no local pool: every
 /// job waits for a `fleet-worker`. Runs until `POST /v1/shutdown`, then
-/// drains the queue, joins the runners, and writes the obs summary.
-fn cmd_serve(args: &Args) -> Result<(), String> {
+/// drains the queue, joins the runners, and (with `--run-dir`) writes
+/// the run's artifacts.
+fn cmd_serve(argv: &[String]) -> Result<(), String> {
+    let args = Args::parse(
+        argv,
+        &["addr", "tenant-config", "jobs", "cache-dir", "run-dir"],
+        &["no-cache"],
+        0,
+    )?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:9900");
     // The API rides the obs HTTP server, so a serve session always has
-    // a metrics endpoint and always writes a summary artifact.
+    // a metrics endpoint.
     let opts = ObsOptions {
         metrics_addr: Some(addr.to_owned()),
-        dashboard: false,
-        summary_out: Some(
-            args.get("obs-out")
-                .map_or_else(|| std::path::PathBuf::from("obs-summary.json"), Into::into),
-        ),
-        span_out: args.get("span-out").map(std::path::PathBuf::from),
+        run_dir: args.get("run-dir").map(std::path::PathBuf::from),
     };
     let session = ObsSession::start(&opts)?;
     // Not ready until the runners exist and the router is mounted.
@@ -581,8 +522,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     service.wait_until_drained();
     service.join();
     eprintln!("serve: drained; shutting down");
-    if let Some(path) = session.finish(service.take_job_profiles())? {
-        eprintln!("obs: wrote run summary -> {}", path.display());
+    if let Some(dir) = session.finish(service.take_job_profiles())? {
+        eprintln!("obs: wrote run artifacts -> {}", dir.display());
     }
     Ok(())
 }
@@ -590,7 +531,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 /// `fleet-worker`: register with a `serve` daemon, lease job batches,
 /// run them on the ordinary local harness pool, and push results back
 /// until the daemon drains.
-fn cmd_fleet_worker(args: &Args) -> Result<(), String> {
+fn cmd_fleet_worker(argv: &[String]) -> Result<(), String> {
+    let args = Args::parse(argv, &["connect", "jobs", "name"], &[], 0)?;
     let connect = args
         .get("connect")
         .ok_or("fleet-worker needs --connect <host:port>")?;
@@ -610,28 +552,20 @@ fn cmd_fleet_worker(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `insight`: the offline cross-signal analyzer. Joins a run's obs
-/// summary (`--obs`), span timeline (`--spans`), and NDJSON structured
-/// logs (`--logs`) by correlation trace id, then writes `insight.json`
-/// (`--out`) and prints the human report: per-tenant and per-scheme
-/// stage breakdowns, the slowest end-to-end requests, shed/retry
-/// accounting reconciled against the governor counters, and an anomaly
-/// section (stage-time outliers, orphan spans/logs no other signal
-/// knows).
-fn cmd_insight(args: &Args) -> Result<(), String> {
-    let read_artifact = |flag: &str| -> Result<Option<String>, String> {
-        args.get(flag)
-            .map(|path| std::fs::read_to_string(path).map_err(|e| format!("--{flag} {path}: {e}")))
-            .transpose()
-    };
-    let inputs = horus::obs::insight::InsightInputs {
-        obs_summary: read_artifact("obs")?,
-        spans: read_artifact("spans")?,
-        logs: read_artifact("logs")?,
-    };
-    if inputs.obs_summary.is_none() && inputs.spans.is_none() && inputs.logs.is_none() {
-        return Err("insight needs at least one of --obs, --spans, --logs".into());
-    }
+/// `insight DIR`: the offline cross-signal analyzer. Joins a run
+/// directory's obs summary, span timeline, and NDJSON structured logs
+/// by correlation trace id, then writes `insight.json` (`--out`) and
+/// prints the human report: per-tenant and per-scheme stage breakdowns,
+/// the slowest end-to-end requests, shed/retry accounting reconciled
+/// against the governor counters, and an anomaly section (stage-time
+/// outliers, orphan spans/logs no other signal knows).
+fn cmd_insight(argv: &[String]) -> Result<(), String> {
+    let args = Args::parse(argv, &["out", "top"], &["json"], 1)?;
+    let dir = args
+        .positional
+        .first()
+        .ok_or("insight needs a run directory")?;
+    let inputs = horus::obs::insight::InsightInputs::from_run_dir(std::path::Path::new(dir))?;
     let top = args
         .get("top")
         .map(|v| v.parse::<usize>().map_err(|e| format!("--top: {e}")))
@@ -665,13 +599,19 @@ fn parse_domain(s: &str) -> Result<PersistenceDomain, String> {
     }
 }
 
-fn cmd_trace(args: &Args) -> Result<(), String> {
+fn cmd_trace(argv: &[String]) -> Result<(), String> {
     // Two modes share the verb: `trace --file <path>` replays a
     // workload trace; `trace <scheme>` records one probed drain episode
     // and reports where its cycles went.
-    if args.get("file").is_none() {
-        return cmd_trace_drain(args);
+    if !argv.iter().any(|a| a == "--file") {
+        return cmd_trace_drain(&Args::parse(
+            argv,
+            &["scheme", "llc-mb", "stride", "out"],
+            &[],
+            1,
+        )?);
     }
+    let args = Args::parse(argv, &["file", "domain"], &[], 0)?;
     let path = args.get("file").ok_or("trace needs --file <path>")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let ops = parse_trace(&text).map_err(|e| e.to_string())?;
@@ -729,7 +669,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 fn cmd_trace_drain(args: &Args) -> Result<(), String> {
     let scheme_name = args
         .positional
-        .get(1)
+        .first()
         .map(String::as_str)
         .or_else(|| args.get("scheme"))
         .unwrap_or("horus-slm");
@@ -802,83 +742,56 @@ fn cmd_trace_drain(args: &Args) -> Result<(), String> {
 }
 
 const USAGE: &str =
-    "usage: horus-cli <config|drain|recover|attack|sweep|crash-sweep|serve|fleet-worker|serve-metrics|insight|trace> [options]
+    "usage: horus-cli <config|drain|recover|attack|sweep|crash-sweep|serve|fleet-worker|insight|trace> [options]
   config                          print the Table I configuration as JSON
   drain   --scheme S [--llc-mb N] [--stride B] [--json]
   recover --scheme S [--llc-mb N] [--write-through] [--json]
   attack  --kind K [--scheme S]   K: data address mac splice truncate replay
-  sweep   --llc 8,16,32 [--jobs N] [--cache-dir DIR] [--no-cache] [--progress] [--json]
-          [--service HOST:PORT]   submit the points to a serve daemon instead of the
-          local pool; output stays byte-identical to the local run
+  sweep   [--llc 8,16,32] [--json] [--jobs N] [--cache-dir DIR] [--no-cache]
+          [--service HOST:PORT [--service-tenant NAME]]   submit the points to a serve
+          daemon instead of the local pool; output stays byte-identical to the local run
   crash-sweep [--quick] [--points N] [--model torn|stale|garbled] [--jobs N]
           [--out FILE] [--json]   interrupt each drain at sampled cycles, recover,
           classify; exits nonzero on any Horus silent corruption
   serve   [--addr 127.0.0.1:9900] [--tenant-config FILE] [--jobs N] [--cache-dir DIR]
-          [--no-cache] [--obs-out FILE] [--span-out FILE]   multi-tenant experiment
-          daemon: POST /v1/jobs with admission control, dedup by content key, a job
-          queue its runners (--jobs wide; 0 = none) and fleet-workers lease from,
-          /metrics on the same listener; with --cache-dir, unfinished plans resume
-          after a restart; POST /v1/shutdown drains and exits
+          [--no-cache] [--run-dir DIR]   multi-tenant experiment daemon: POST /v1/jobs
+          with admission control, dedup by content key, a job queue its runners (--jobs
+          wide; 0 = none) and fleet-workers lease from, /metrics on the same listener;
+          with --cache-dir, unfinished plans resume after a restart; POST /v1/shutdown
+          drains and exits
   fleet-worker --connect HOST:PORT [--jobs N] [--name NAME]   lease job batches
           from a serve daemon and execute them on the local harness pool until it
           drains
-  serve-metrics [--addr 127.0.0.1:9464] [--for-seconds S]   standalone Prometheus
-          scrape endpoint exposing this process's host profile
-  insight [--obs FILE] [--spans FILE] [--logs FILE] [--out FILE] [--top N] [--json]
-          join a run's obs summary, span timeline, and structured logs by trace id:
-          stage breakdowns, slowest requests, shed accounting, anomalies
+  insight DIR [--out FILE] [--top N] [--json]
+          join a run directory's summary, span timeline, and structured logs by trace
+          id: stage breakdowns, slowest requests, shed accounting, anomalies
   trace   <scheme> [--llc-mb N] [--stride B] [--out FILE]   probed drain: utilization,
           critical path, optional Chrome-trace JSON (Perfetto-loadable)
   trace   --file <path> [--domain epd|adr|bbb:<lines>]      workload replay
-sweep/crash-sweep telemetry: [--metrics-addr ADDR] [--dashboard]
-          [--obs-out FILE] [--span-out FILE]
-global logging: [--log-level debug|info|warn|error] [--log-json]
+sweep/crash-sweep telemetry: [--metrics-addr ADDR] [--run-dir DIR]
+run dir (sweep, crash-sweep, serve): summary.json spans.json logs.ndjson progress.ndjson
+every command: [--log-level debug|info|warn|error]
 schemes: ns base-lu base-eu horus(-slm) horus-dlm";
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match Args::parse(
-        &argv,
-        &[
-            "json",
-            "write-through",
-            "no-cache",
-            "progress",
-            "quick",
-            "dashboard",
-            "log-json",
-        ],
-    ) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = apply_log_flags(&args) {
-        eprintln!("error: {e}\n{USAGE}");
-        return ExitCode::FAILURE;
-    }
-    let cmd = args
-        .positional
-        .first()
-        .map(String::as_str)
-        .unwrap_or("help");
+    let (cmd, rest) = argv
+        .split_first()
+        .map_or(("help", &[][..]), |(cmd, rest)| (cmd.as_str(), rest));
     let result = match cmd {
-        "config" => cmd_config(),
-        "drain" => cmd_drain(&args),
-        "recover" => cmd_recover(&args),
-        "attack" => cmd_attack(&args),
-        "sweep" => cmd_sweep(&args),
-        "crash-sweep" => match cmd_crash_sweep(&args) {
+        "config" => cmd_config(rest),
+        "drain" => cmd_drain(rest),
+        "recover" => cmd_recover(rest),
+        "attack" => cmd_attack(rest),
+        "sweep" => cmd_sweep(rest),
+        "crash-sweep" => match cmd_crash_sweep(rest) {
             Ok(code) => return code,
             Err(e) => Err(e),
         },
-        "serve" => cmd_serve(&args),
-        "fleet-worker" => cmd_fleet_worker(&args),
-        "serve-metrics" => cmd_serve_metrics(&args),
-        "insight" => cmd_insight(&args),
-        "trace" => cmd_trace(&args),
+        "serve" => cmd_serve(rest),
+        "fleet-worker" => cmd_fleet_worker(rest),
+        "insight" => cmd_insight(rest),
+        "trace" => cmd_trace(rest),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(())
