@@ -1,6 +1,6 @@
 //! The bench-regression gate behind the `bench-gate` binary and CI job.
 //!
-//! [`measure`] runs the smoke-scale [`crate::repro_all`] plan and distils
+//! [`measure_with`] runs the smoke-scale [`crate::repro_all`] plan and distils
 //! it into a [`BenchSnapshot`]: the per-scheme headline op counts
 //! (memory requests, MAC operations, drain cycles) from the five-scheme
 //! comparison, every headline-claim measurement, and the wall time. The
@@ -34,8 +34,7 @@
 
 use crate::repro_all::{self, ReproPlan};
 use crate::{figures, table};
-use horus_harness::Harness;
-use horus_sim::EpisodeShards;
+use horus_harness::{run_indexed, Harness};
 use serde::Deserialize;
 use std::time::Instant;
 
@@ -257,27 +256,33 @@ fn f64_json(v: f64) -> String {
 /// per wall second. Direct [`horus_harness::JobSpec::execute`] calls, bypassing the
 /// harness cache, so the rate reflects real simulation work.
 ///
-/// The five scheme episodes of one set are independent, so they fan out
-/// over `shards` ([`EpisodeShards`] is deterministic-merge, so the cycle
-/// totals are identical for any worker count); the wall clock then covers
-/// the *slowest* episode rather than the sum, which is where the sharded
-/// core's throughput headroom comes from.
+/// The five scheme episodes of one set are independent, so they run on
+/// a [`run_indexed`] pool of `threads` workers (results come back in
+/// scheme order, so the cycle totals are identical for any worker
+/// count); the wall clock then covers the *slowest* episode rather than
+/// the sum.
+///
+/// # Panics
+///
+/// Panics when an episode panics: a diverging episode aborts the
+/// measurement rather than rating a partial set.
 #[must_use]
-pub fn measure_throughput(plan: &ReproPlan, sets: u32, shards: &EpisodeShards) -> Vec<Throughput> {
+pub fn measure_throughput(plan: &ReproPlan, sets: u32, threads: usize) -> Vec<Throughput> {
     use horus_core::DrainScheme;
     let pattern = crate::experiments::paper_fill();
     let mut best = f64::INFINITY;
     let mut cycles_per_set = 0u64;
     for _ in 0..sets.max(1) {
         let started = Instant::now();
-        let episodes = DrainScheme::ALL
-            .iter()
-            .map(|&s| {
-                let spec = horus_harness::JobSpec::drain(&plan.base, s, pattern);
-                move || spec.execute().drain.cycles
-            })
-            .collect();
-        cycles_per_set = shards.run(episodes).into_iter().sum();
+        cycles_per_set = run_indexed(DrainScheme::ALL.len(), threads, |i| {
+            horus_harness::JobSpec::drain(&plan.base, DrainScheme::ALL[i], pattern)
+                .execute()
+                .drain
+                .cycles
+        })
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|e| panic!("throughput episode panicked: {e}")))
+        .sum();
         best = best.min(started.elapsed().as_secs_f64());
     }
     let best = best.max(1e-9);
@@ -293,15 +298,17 @@ pub fn measure_throughput(plan: &ReproPlan, sets: u32, shards: &EpisodeShards) -
     ]
 }
 
-/// Runs the smoke plan and snapshots its headline numbers, rating
-/// throughput over `shards`.
+/// Runs the smoke plan on `harness` and snapshots its headline numbers,
+/// rating throughput on a pool of `threads` workers (`bench-gate` passes
+/// the harness's own worker count, which the committed baseline was
+/// measured with).
 #[must_use]
-pub fn measure_with(harness: &Harness, shards: &EpisodeShards) -> BenchSnapshot {
+pub fn measure_with(harness: &Harness, threads: usize) -> BenchSnapshot {
     let started = Instant::now();
     let plan = ReproPlan::smoke();
     let all = repro_all::run(harness, &plan);
     let cmp = figures::scheme_comparison(harness, &plan.base);
-    let ops_per_sec = measure_throughput(&plan, 3, shards);
+    let ops_per_sec = measure_throughput(&plan, 3, threads);
     BenchSnapshot {
         schemes: cmp
             .reports
@@ -325,13 +332,6 @@ pub fn measure_with(harness: &Harness, shards: &EpisodeShards) -> BenchSnapshot 
         host_profile: Some(HostProfileSection::capture()),
         wall_seconds: started.elapsed().as_secs_f64(),
     }
-}
-
-/// [`measure_with`] over a host-sized shard pool — what the `bench-gate`
-/// binary and the committed baseline use by default.
-#[must_use]
-pub fn measure(harness: &Harness) -> BenchSnapshot {
-    measure_with(harness, &EpisodeShards::available())
 }
 
 /// Diffs `current` against the committed `baseline`; every string in the
@@ -761,13 +761,13 @@ mod tests {
     #[test]
     fn measured_smoke_snapshot_is_stable_and_self_consistent() {
         let harness = Harness::serial();
-        let snap = measure(&harness);
+        let snap = measure_with(&harness, 2);
         assert_eq!(snap.schemes.len(), 5, "one row per scheme");
         assert!(!snap.checks.is_empty());
         assert!(snap.wall_seconds > 0.0);
         assert_eq!(snap.ops_per_sec.len(), 2);
         assert!(snap.ops_per_sec.iter().all(|t| t.per_sec > 0.0));
-        let again = measure(&harness);
+        let again = measure_with(&harness, 2);
         assert!(compare(&snap, &again, 0.0).is_empty(), "deterministic");
         let parsed = BenchSnapshot::parse(&snap.to_json()).expect("parses");
         assert!(compare(&parsed, &snap, 0.0).is_empty(), "codec faithful");

@@ -25,7 +25,6 @@
 
 use horus_bench::bench_gate::{self, BenchSnapshot};
 use horus_bench::cli::HarnessArgs;
-use horus_sim::EpisodeShards;
 use std::path::PathBuf;
 use std::process::exit;
 
@@ -100,19 +99,12 @@ fn main() {
     });
     let obs = shared.obs_or_exit();
     let harness = shared.harness_with(&obs);
-    // Throughput rating defaults to a host-sized episode pool (the
-    // committed baseline is measured that way); `--sim-threads N` pins
-    // it, e.g. `--sim-threads 1` for the serial reference rate.
-    let shards = shared
-        .sim_threads
-        .map_or_else(EpisodeShards::available, EpisodeShards::new);
-    let snapshot = bench_gate::measure_with(&harness, &shards);
+    let snapshot = bench_gate::measure_with(&harness, harness.jobs());
     obs.finish_or_exit(&harness);
     println!(
-        "smoke-plan headline op counts ({:.2}s wall, {} workers, {} sim threads):\n\n{}",
+        "smoke-plan headline op counts ({:.2}s wall, {} workers):\n\n{}",
         snapshot.wall_seconds,
         harness.jobs(),
-        shards.threads(),
         snapshot.render()
     );
     println!("ops_per_sec: {}", snapshot.render_throughput());

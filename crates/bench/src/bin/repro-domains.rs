@@ -12,7 +12,7 @@
 //! The pay-off matrix is the paper's thesis: EPD gives DRAM-like
 //! persists, and Horus is what makes its battery affordable.
 
-use horus_bench::cli::HarnessArgs;
+use horus_bench::cli::{HarnessArgs, SWEEP_ONLY_FLAGS};
 use horus_bench::table;
 use horus_core::{DrainScheme, PersistenceDomain, SecureEpdSystem, SystemConfig};
 use horus_sim::rng::Rng;
@@ -71,7 +71,7 @@ fn run(domain: PersistenceDomain, drain: Option<DrainScheme>, n: u64) -> Row {
 }
 
 fn main() {
-    let args = HarnessArgs::parse_or_exit();
+    let args = HarnessArgs::parse_or_exit_refusing("repro-domains", SWEEP_ONLY_FLAGS);
     let n = 20_000;
     println!("persistence-domain design space over {n} durable stores:\n");
     let rows = [

@@ -6,14 +6,14 @@
 //! is the whole flushed footprint), which is the deeper argument for
 //! Horus's approach of not touching the metadata at all.
 
-use horus_bench::cli::HarnessArgs;
+use horus_bench::cli::{HarnessArgs, SWEEP_ONLY_FLAGS};
 use horus_bench::{paper_fill, table};
 use horus_core::{DrainScheme, SecureEpdSystem, SystemConfig};
 use horus_metadata::MetadataCacheConfig;
 use horus_workload::fill_hierarchy;
 
 fn main() {
-    let args = HarnessArgs::parse_or_exit();
+    let args = HarnessArgs::parse_or_exit_refusing("repro-metacache", SWEEP_ONLY_FLAGS);
     println!("Base-LU drain vs metadata-cache capacity (8 MB LLC, worst-case fill)\n");
     let mut rows = Vec::new();
     for scale in [1u64, 4, 16] {

@@ -7,7 +7,7 @@
 //! the same write-back stream and prints the per-write cost, plus how the
 //! metadata caches absorbed it.
 
-use horus_bench::cli::HarnessArgs;
+use horus_bench::cli::{HarnessArgs, SWEEP_ONLY_FLAGS};
 use horus_bench::table;
 use horus_core::{DrainScheme, SecureEpdSystem, SystemConfig};
 use horus_metadata::UpdateScheme;
@@ -49,7 +49,7 @@ fn run(scheme: UpdateScheme, trace: &AccessTrace) -> Vec<String> {
 }
 
 fn main() {
-    let args = HarnessArgs::parse_or_exit();
+    let args = HarnessArgs::parse_or_exit_refusing("repro-runtime", SWEEP_ONLY_FLAGS);
     // A cache-hostile stream: mostly-cold writes so a large fraction of
     // stores become NVM write-backs.
     let trace = AccessTrace::generate(&TraceConfig {

@@ -7,13 +7,13 @@
 //! wear those cells — the practical argument for rotating the CHV base
 //! (cheap, since the region is indexed from an on-chip register).
 
-use horus_bench::cli::HarnessArgs;
+use horus_bench::cli::{HarnessArgs, SWEEP_ONLY_FLAGS};
 use horus_bench::{paper_fill, table};
 use horus_core::{DrainScheme, SecureEpdSystem, SystemConfig};
 use horus_workload::fill_hierarchy;
 
 fn main() {
-    let args = HarnessArgs::parse_or_exit();
+    let args = HarnessArgs::parse_or_exit_refusing("repro-wear", SWEEP_ONLY_FLAGS);
     let cfg = SystemConfig::with_llc_bytes(8 << 20);
     println!(
         "PCM wear by region after one worst-case drain ({} MB LLC)\n",

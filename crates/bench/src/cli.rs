@@ -13,8 +13,6 @@
 //! --service ADDR    submit sweeps to the `horus-cli serve` daemon at ADDR
 //!                   instead of the local pool (output stays byte-identical)
 //! --service-tenant NAME  submit under tenant NAME (with --service)
-//! --sim-threads N   shard independent episodes over N simulation worker
-//!                   threads (default 1; output is byte-identical for any N)
 //! --log-level LVL   structured-log threshold: debug|info|warn|error
 //! ```
 //!
@@ -38,8 +36,11 @@
 //!
 //! A binary with flags of its own composes them onto the shared set via
 //! [`HarnessArgs::parse_from_with`] — its handler sees every flag
-//! first, so it may claim a shared spelling for itself or refuse a
-//! shared flag it does not read, without forking the parser.
+//! first, so it may claim a shared spelling for itself without forking
+//! the parser. A command that does not read some shared flags refuses
+//! them by name through [`HarnessArgs::parse_refusing`] instead of
+//! parsing and ignoring them; the binaries that run no harness sweep
+//! refuse [`SWEEP_ONLY_FLAGS`].
 
 use horus_core::{DrainScheme, SystemConfig};
 use horus_harness::{Harness, HarnessOptions, JobSpec, ProgressMode, SweepBackend};
@@ -69,8 +70,6 @@ pub struct HarnessArgs {
     pub service: Option<String>,
     /// `--service-tenant NAME`.
     pub service_tenant: Option<String>,
-    /// `--sim-threads N`.
-    pub sim_threads: Option<usize>,
     /// `--log-level LVL`.
     pub log_level: Option<log::Level>,
 }
@@ -78,7 +77,19 @@ pub struct HarnessArgs {
 /// The usage string fragment for the shared flags.
 pub const HARNESS_USAGE: &str = "[--jobs N] [--cache-dir DIR] [--no-cache] [--quick] \
      [--metrics-addr ADDR] [--run-dir DIR] [--service ADDR] [--service-tenant NAME] \
-     [--sim-threads N] [--log-level LVL]";
+     [--log-level LVL]";
+
+/// The shared flags only a harness sweep reads. A binary that runs its
+/// episodes inline, and at most writes the `--run-dir` drain trace,
+/// refuses them.
+pub const SWEEP_ONLY_FLAGS: &[&str] = &[
+    "--jobs",
+    "--cache-dir",
+    "--no-cache",
+    "--metrics-addr",
+    "--service",
+    "--service-tenant",
+];
 
 impl HarnessArgs {
     /// Parses the process arguments; unknown flags are an error.
@@ -97,7 +108,7 @@ impl HarnessArgs {
     /// value from the iterator itself), `Ok(false)` to pass it through
     /// to the shared set, or `Err` to reject it or its value. Because
     /// `extra` runs first, a binary may claim a shared spelling for
-    /// itself, or refuse a shared flag it would otherwise ignore.
+    /// itself.
     pub fn parse_from_with(
         argv: impl Iterator<Item = String>,
         mut extra: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
@@ -139,14 +150,6 @@ impl HarnessArgs {
                     let v = it.next().ok_or("--service-tenant requires a value")?;
                     args.service_tenant = Some(v);
                 }
-                "--sim-threads" => {
-                    let v = it.next().ok_or("--sim-threads requires a value")?;
-                    args.sim_threads = Some(
-                        v.parse::<usize>()
-                            .map_err(|e| format!("--sim-threads {v}: {e}"))?
-                            .max(1),
-                    );
-                }
                 "--log-level" => {
                     let v = it.next().ok_or("--log-level requires a value")?;
                     args.log_level = Some(
@@ -161,6 +164,24 @@ impl HarnessArgs {
             return Err("--service-tenant requires --service".to_string());
         }
         Ok(args)
+    }
+
+    /// [`parse_from_with`](Self::parse_from_with) for a command `cmd`
+    /// that reads only part of the shared set: each flag in `unread` is
+    /// refused by name (`"{cmd} does not take '{flag}'"`) instead of
+    /// being parsed and ignored, and `own` sees every other flag first.
+    pub fn parse_refusing(
+        argv: impl Iterator<Item = String>,
+        cmd: &str,
+        unread: &[&str],
+        mut own: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
+    ) -> Result<Self, String> {
+        Self::parse_from_with(argv, |flag, it| {
+            if unread.contains(&flag) {
+                return Err(format!("{cmd} does not take '{flag}'"));
+            }
+            own(flag, it)
+        })
     }
 
     /// Builds the harness these flags describe, with no telemetry
@@ -205,14 +226,6 @@ impl HarnessArgs {
             }
             Arc::new(backend) as Arc<dyn SweepBackend>
         })
-    }
-
-    /// The simulation-episode worker pool `--sim-threads` describes.
-    /// Defaults to the single-thread reference configuration, whose
-    /// output every other thread count must reproduce byte-for-byte.
-    #[must_use]
-    pub fn episode_shards(&self) -> horus_sim::EpisodeShards {
-        horus_sim::EpisodeShards::new(self.sim_threads.unwrap_or(1))
     }
 
     /// The [`ObsOptions`] these flags describe.
@@ -312,13 +325,7 @@ impl HarnessArgs {
     /// Parses the process arguments and exits with usage on error.
     #[must_use]
     pub fn parse_or_exit() -> Self {
-        match Self::parse() {
-            Ok(args) => args,
-            Err(e) => {
-                eprintln!("error: {e}\nusage: {HARNESS_USAGE}");
-                std::process::exit(2);
-            }
-        }
+        Self::or_exit(Self::parse(), HARNESS_USAGE)
     }
 
     /// [`parse_from_with`](Self::parse_from_with) over the process
@@ -329,13 +336,30 @@ impl HarnessArgs {
         extra_usage: &str,
         extra: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
     ) -> Self {
-        match Self::parse_from_with(std::env::args().skip(1), extra) {
-            Ok(args) => args,
-            Err(e) => {
-                eprintln!("error: {e}\nusage: {extra_usage} {HARNESS_USAGE}");
-                std::process::exit(2);
-            }
-        }
+        Self::or_exit(
+            Self::parse_from_with(std::env::args().skip(1), extra),
+            &format!("{extra_usage} {HARNESS_USAGE}"),
+        )
+    }
+
+    /// [`parse_refusing`](Self::parse_refusing) over the process
+    /// arguments of binary `cmd`, which has no flags of its own; exits
+    /// with usage on error, before the binary does any work.
+    #[must_use]
+    pub fn parse_or_exit_refusing(cmd: &str, unread: &[&str]) -> Self {
+        Self::or_exit(
+            Self::parse_refusing(std::env::args().skip(1), cmd, unread, |_, _| Ok(false)),
+            &format!("{cmd} {HARNESS_USAGE}"),
+        )
+    }
+
+    /// The parsed flags, or exit status 2 after printing the error and
+    /// `usage`.
+    fn or_exit(parsed: Result<Self, String>, usage: &str) -> Self {
+        parsed.unwrap_or_else(|e| {
+            eprintln!("error: {e}\nusage: {usage}");
+            std::process::exit(2);
+        })
     }
 }
 
@@ -460,19 +484,12 @@ mod tests {
     }
 
     #[test]
-    fn sim_threads_parses_and_defaults_to_one() {
-        let a = parse(&["--sim-threads", "8"]).expect("valid");
-        assert_eq!(a.sim_threads, Some(8));
-        assert_eq!(a.episode_shards().threads(), 8);
-        // Default is the single-thread reference configuration.
-        assert_eq!(parse(&[]).expect("valid").episode_shards().threads(), 1);
-        // Zero clamps rather than erroring, like --jobs.
-        assert_eq!(
-            parse(&["--sim-threads", "0"]).expect("valid").sim_threads,
-            Some(1)
-        );
-        assert!(parse(&["--sim-threads"]).is_err());
-        assert!(parse(&["--sim-threads", "lots"]).is_err());
+    fn sim_threads_is_rejected() {
+        // Episodes run on the one harness pool, sized by `--jobs`.
+        for argv in [&["--sim-threads", "2"][..], &["--sim-threads"]] {
+            let err = parse(argv).expect_err("removed flag");
+            assert!(err.contains("unknown flag '--sim-threads'"), "{err}");
+        }
     }
 
     #[test]
@@ -522,7 +539,7 @@ mod tests {
 
     #[test]
     fn extra_handler_can_claim_a_shared_spelling() {
-        // A binary may own a shared spelling (it sees the flag first)...
+        // A binary may own a shared spelling (it sees the flag first).
         let mut own_quick = false;
         let a = HarnessArgs::parse_from_with(
             ["--quick", "--jobs", "3"].iter().map(|s| (*s).to_owned()),
@@ -537,18 +554,40 @@ mod tests {
         .expect("valid");
         assert!(own_quick && !a.quick);
         assert_eq!(a.jobs, Some(3));
-        // ...or refuse a shared flag it would otherwise ignore.
-        let refused = HarnessArgs::parse_from_with(
-            ["--cache-dir", "c"].iter().map(|s| (*s).to_owned()),
-            |flag, _| match flag {
-                "--cache-dir" => Err(format!("this binary does not take {flag}")),
-                _ => Ok(false),
+    }
+
+    #[test]
+    fn refused_shared_flags_are_named_and_others_pass_through() {
+        let refuse = |argv: &[&str]| {
+            HarnessArgs::parse_refusing(
+                argv.iter().map(|s| (*s).to_owned()),
+                "repro-wear",
+                SWEEP_ONLY_FLAGS,
+                |_, _| Ok(false),
+            )
+        };
+        for flag in SWEEP_ONLY_FLAGS {
+            assert_eq!(
+                refuse(&[flag, "v"]).unwrap_err(),
+                format!("repro-wear does not take '{flag}'")
+            );
+        }
+        let a = refuse(&["--quick", "--run-dir", "d", "--log-level", "warn"]).expect("valid");
+        assert!(a.quick && a.run_dir.is_some() && a.log_level.is_some());
+        // The command's own handler still composes.
+        let mut json = false;
+        let b = HarnessArgs::parse_refusing(
+            ["--json", "--jobs", "2"].iter().map(|s| (*s).to_owned()),
+            "sweep",
+            &["--quick"],
+            |flag, _| {
+                json |= flag == "--json";
+                Ok(flag == "--json")
             },
-        );
-        assert_eq!(
-            refused.unwrap_err(),
-            "this binary does not take --cache-dir"
-        );
+        )
+        .expect("valid");
+        assert!(json);
+        assert_eq!(b.jobs, Some(2));
     }
 
     #[test]

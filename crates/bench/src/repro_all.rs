@@ -635,4 +635,173 @@ cycles per wall second — roughly half the single-threaded release rate
 after the AES-NI speedup, so it only trips on real regressions like an
 accidental debug-profile bench job, a quadratic hot path, or losing
 the hardware-AES dispatch.
+
+When a change makes the simulator *legitimately faster* — a better
+cipher kernel, allocation recycling — the committed
+`ops_per_sec` baseline becomes stale on the low side. The gate only
+fails on regressions, so nothing breaks, but the gate's 25% band is
+now measured from a number the tree no longer produces, and a later
+regression could hide inside the headroom. Re-baseline in the same PR
+as the speedup:
+
+1. `cargo run --release -p horus-bench --bin bench-gate -- --update`
+   on a quiet machine.
+2. Check the `BENCH_smoke.json` diff: **only** `wall_seconds`,
+   `host_profile`, and `ops_per_sec` may move. If any scheme's op
+   counts moved, the change was not a pure speedup — stop and debug.
+3. Commit the refreshed baseline together with the optimization and
+   state the measured before/after rates in the PR description, so the
+   history explains why the number jumped.
+4. If the speedup raises the sustainable floor, bump
+   `SIM_CYCLES_PER_SEC_FLOOR` in `crates/bench/tests/perf_floor.rs`
+   to roughly half the new single-threaded release rate and run
+   `cargo test --release -p horus-bench --test perf_floor` to confirm
+   the margin.
+
+## Serving experiments — `horus-cli serve`, tenants, and `horus-load`
+
+The fleet sections above spread *one* caller's sweep across machines;
+the same `horus-cli serve` daemon is also shared: many callers — and
+many *teams* — submit to it over HTTP (see ARCHITECTURE.md, "Service").
+Write a tenant policy file first; budgets are token buckets (`burst`
+capacity, `refill_per_sec` refill, `0` means unlimited) plus an
+optional in-flight quota, and unknown callers land on the `fallback`
+policy:
+
+```
+cat > tenants.json <<'JSON'
+{
+  "fallback": {"name": "anonymous", "burst": 4, "refill_per_sec": 0.5, "max_in_flight": 2},
+  "tenants": [
+    {"name": "team-a", "burst": 24, "refill_per_sec": 2.0, "max_in_flight": 0},
+    {"name": "team-b", "burst": 12, "refill_per_sec": 1.0, "max_in_flight": 4}
+  ],
+  "runners": 2
+}
+JSON
+cargo run --release --bin horus-cli -- serve --addr 127.0.0.1:9900 \
+    --tenant-config tenants.json --jobs 4 --cache-dir service-cache
+# serve: experiment API on http://127.0.0.1:9900/v1/jobs (2 runner(s), local pool 4, tenants: team-a, team-b, anonymous)
+```
+
+One listener serves everything: the `/v1` API, `/metrics`, `/healthz`,
+`/readyz`, `/logs`. Submit a plan (here: the quick sweep point the
+load generator calls plan 0) and poll it:
+
+```
+curl -s -X POST -H 'x-horus-tenant: team-a' \
+    -d '{"plan":[...JobSpec JSON...]}' http://127.0.0.1:9900/v1/jobs
+# {"job":0,"key":"af93b1ccb763400a","tenant":"team-a","deduped":false,"trace":"2fa58dc62cb3c5e4"}
+curl -s http://127.0.0.1:9900/v1/jobs/0            # stage-by-stage status
+curl -s http://127.0.0.1:9900/v1/jobs/0/result     # outcome JSON once committed
+curl -s http://127.0.0.1:9900/v1/tenants/team-a    # budget + counters snapshot
+```
+
+Submit the same plan twice — from *different* tenants, even — and the
+second answer says `"deduped":true` with an alias id riding the first
+execution; restart the daemon with the same `--cache-dir` and
+re-submission commits from the on-disk cache without re-executing
+(`executed=0 cache_hits=1` in the serve log). Over-budget submissions
+get `429` with a `Retry-After` derived from the actual refill deficit,
+and a draining daemon (`POST /v1/shutdown`) answers `503`.
+
+Every harness caller can route *through* the daemon instead of its own
+pool:
+
+```
+cargo run --release --bin horus-cli -- sweep --llc 8,16 --json \
+    --service 127.0.0.1:9900 --service-tenant team-a
+```
+
+and the output is byte-identical to the local `--jobs N` run.
+
+`horus-load` is the proof under contention. It storms the daemon with
+N client threads over a weighted tenant ring and a deterministic plan
+mix, fetches every distinct plan's result, optionally re-executes them
+locally and diffs (`--verify-local`), checks fixed budgets shed
+exactly `submitted − burst` (`--expect-exact-shed`, valid when
+`refill_per_sec` is 0), and writes latency percentiles as JSON:
+
+```
+cargo run --release -p horus-service --bin horus-load -- \
+    --addr 127.0.0.1:9900 --clients 36 --requests 2 --quick-pct 100 \
+    --tenants team-a,team-b,team-c --weights 2,1,1 \
+    --tenant-config tenants.json --expect-exact-shed \
+    --verify-local --verify-jobs 2 --verify-cache-dir service-cache \
+    --report load-report.json
+# submitted 72 admitted 42 shed 30 deduped 32 distinct 10 verified 10 p50 7.9ms p99 19.6ms
+```
+
+The CI `service-soak` job runs exactly this storm against three
+fixed-budget tenants on every push and cross-checks three views of it
+— the load report, the live `/metrics` scrape, and the end-of-run obs
+summary — asserting admitted + shed equals submitted per tenant, the
+shed counts match the overflow arithmetic exactly, and every admitted
+result is byte-identical to local execution. One caveat worth knowing
+when reading its numbers: *which* submissions get admitted is
+timing-dependent (the storm races 36 threads against fixed pools), so
+the job asserts `plans_completed == distinct_plans` from the report
+rather than a hard-coded plan count.
+
+## Following one request — trace ids and `horus-cli insight`
+
+Every admitted submission gets a correlation trace id at admission —
+in the `202` body's `trace` field, in the `x-horus-trace` response
+header, and on every signal that request's work touches: the
+`submission admitted` / `plan committed` log lines, the `SpanBook`
+stage stamps, the per-job profile in the obs summary, and (when
+remote workers execute) every lease, worker log line, and pushed
+profile. Deduplicated submissions *reuse* the canonical plan's trace
+— an alias never executes, so a fresh id would join to nothing.
+
+Run a serve session with a run directory, which collects all three
+artifacts (`summary.json`, `spans.json`, `logs.ndjson`), storm it,
+then join them offline:
+
+```
+cargo run --release --bin horus-cli -- serve --addr 127.0.0.1:9900 \
+    --tenant-config tenants.json --jobs 4 --run-dir service-run &
+cargo run --release -p horus-service --bin horus-load -- \
+    --addr 127.0.0.1:9900 --clients 36 --requests 2 \
+    --tenants team-a,team-b,team-c --report load-report.json
+curl -s -X POST http://127.0.0.1:9900/v1/shutdown
+cargo run --release --bin horus-cli -- insight service-run \
+    --out insight.json --top 5
+```
+
+The report breaks latency down by stage (`queued → leased → executing
+→ pushed → committed`) per tenant and per scheme, lists the top-N
+slowest end-to-end requests with their trace ids, reconciles the
+shed/admit counts seen in logs against the governor counters, and
+flags anomalies: stage times far off their scheme's typical value, and
+orphan spans or log lines whose trace id no other signal knows (a
+joined run has zero). `load-report.json` carries the `traces` the
+service returned, so scripts can assert the same ids appear in
+`insight.json` — the CI `service-soak` lane does exactly that.
+
+Two interactive variants of the same join, no analyzer needed: the
+ring buffer filters server-side
+(`curl 'http://127.0.0.1:9900/logs?trace_id=2fa58dc62cb3c5e4'`), and
+the `/metrics` scrape attaches trace ids to the latency buckets they
+landed in as OpenMetrics exemplars
+(`horus_http_request_seconds_bucket{route="/v1/jobs",le="0.016384"} 7 # {trace_id="2fa58dc62cb3c5e4"} 0.0079`)
+— so a latency spike on a dashboard hands you a concrete request to
+paste into `/logs?trace_id=` or grep in the span timeline.
 "#;
+
+#[cfg(test)]
+mod tests {
+    use super::EPILOGUE;
+
+    #[test]
+    fn committed_experiments_md_ends_with_the_epilogue() {
+        // Every hand-written section of the committed document must live
+        // in EPILOGUE, or the next `repro-all` regeneration deletes it.
+        let committed = include_str!("../../../EXPERIMENTS.md");
+        assert!(
+            committed.ends_with(EPILOGUE),
+            "EXPERIMENTS.md has hand-written text after (or inside) the \
+             generated part that repro_all::EPILOGUE does not carry"
+        );
+    }
+}

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 thread_local! {
     /// Recycled `(addr, block)` scratch buffers for the drain loops (the
     /// hierarchy drain order and the dirty metadata lines). One pool per
-    /// thread, so every `EpisodeShards` worker recycles independently and
+    /// thread, so every harness worker recycles independently and
     /// episode results stay bit-identical to a cold run.
     static DRAIN_SCRATCH: ScratchArena<(u64, Block)> = ScratchArena::new();
 }

@@ -1,13 +1,12 @@
-//! Property tests for the deterministic shard merge.
+//! Property tests for the ordered worker pool.
 //!
-//! The invariant under test is the one the whole `--sim-threads` feature
-//! rests on: for *any* batch of independent episodes and *any* worker
-//! count, [`EpisodeShards::run`] returns exactly what a serial
-//! `into_iter().map(..)` would. The nightly `deep.yml` lane reruns this
-//! suite at `PROPTEST_CASES=4096`.
+//! The invariant under test is the one every sweep rests on: for *any*
+//! batch of independent tasks and *any* worker count, [`run_indexed`]
+//! returns exactly what a serial `(0..n).map(..)` would. The nightly
+//! `deep.yml` lane reruns this suite at `PROPTEST_CASES=4096`.
 
+use horus_harness::run_indexed;
 use horus_sim::rng::{check, default_cases};
-use horus_sim::EpisodeShards;
 
 /// A tiny deterministic "episode": mixes its submission index with a seed
 /// through a few rounds of integer hashing and returns a digest plus a
@@ -24,8 +23,19 @@ fn episode_result(seed: u64, index: u64) -> (u64, Vec<u8>) {
     (x, bytes)
 }
 
-/// Shard merge == serial map, for thread counts around and beyond the
-/// episode count (including the `--sim-threads {1,2,8}` CI matrix).
+/// `episodes` tasks on `threads` workers, each slot unwrapped (no task
+/// panics).
+fn pooled(seed: u64, episodes: u64, threads: usize) -> Vec<(u64, Vec<u8>)> {
+    run_indexed(episodes as usize, threads, |i| {
+        episode_result(seed, i as u64)
+    })
+    .into_iter()
+    .map(|r| r.expect("no task panics"))
+    .collect()
+}
+
+/// Pool merge == serial map, for thread counts around and beyond the
+/// task count.
 #[test]
 fn merge_equals_serial_map() {
     check("merge_equals_serial_map", default_cases(), |rng| {
@@ -33,34 +43,27 @@ fn merge_equals_serial_map() {
         let episodes = rng.below(40);
         let threads = [1usize, 2, 3, 4, 8, 16][rng.below(6) as usize];
         let serial: Vec<_> = (0..episodes).map(|i| episode_result(seed, i)).collect();
-        let sharded = EpisodeShards::new(threads).run(
-            (0..episodes)
-                .map(|i| move || episode_result(seed, i))
-                .collect(),
-        );
-        assert_eq!(sharded, serial);
+        assert_eq!(pooled(seed, episodes, threads), serial);
     });
 }
 
-/// Running the same batch twice on the same pool is bit-stable even
-/// though worker assignment differs run to run.
+/// Running the same batch twice on the same pool size is bit-stable
+/// even though worker assignment differs run to run.
 #[test]
 fn repeated_runs_are_identical() {
     check("repeated_runs_are_identical", default_cases(), |rng| {
         let seed = rng.next_u64();
         let episodes = rng.range(1..24);
-        let shards = EpisodeShards::new(rng.range(1..9) as usize);
-        let make = |s: u64| {
-            (0..episodes)
-                .map(|i| move || episode_result(s, i))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(shards.run(make(seed)), shards.run(make(seed)));
+        let threads = rng.range(1..9) as usize;
+        assert_eq!(
+            pooled(seed, episodes, threads),
+            pooled(seed, episodes, threads)
+        );
     });
 }
 
 /// Thread count never leaks into the result: every pool size agrees
-/// with the single-thread reference configuration.
+/// with the single-worker run.
 #[test]
 fn all_pool_sizes_agree_with_reference() {
     check(
@@ -69,15 +72,10 @@ fn all_pool_sizes_agree_with_reference() {
         |rng| {
             let seed = rng.next_u64();
             let episodes = rng.below(16);
-            let make = || {
-                (0..episodes)
-                    .map(|i| move || episode_result(seed, i))
-                    .collect::<Vec<_>>()
-            };
-            let reference = EpisodeShards::new(1).run(make());
+            let reference = pooled(seed, episodes, 1);
             for threads in [2usize, 8] {
                 assert_eq!(
-                    EpisodeShards::new(threads).run(make()),
+                    pooled(seed, episodes, threads),
                     reference,
                     "threads = {threads}"
                 );

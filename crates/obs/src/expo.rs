@@ -141,7 +141,6 @@ fn render_sample(out: &mut String, sample: &Sample) {
                 None,
             );
         }
-        SampleValue::Histogram(h) => render_histogram(out, sample, h),
         SampleValue::TimeHistogram(h) => render_time_histogram(out, sample, h),
     }
 }
@@ -159,46 +158,10 @@ fn bucket_exemplar(
         .map(|(trace, raw)| (trace.clone(), fmt(*raw)))
 }
 
-fn render_histogram(out: &mut String, sample: &Sample, h: &HistogramSnapshot) {
-    let bucket_name = format!("{}_bucket", sample.name);
-    let mut cumulative = 0u64;
-    for (i, count) in h.buckets.iter().enumerate() {
-        cumulative += count;
-        let le = if i < HistogramSnapshot::finite_buckets() {
-            HistogramSnapshot::bound(i).to_string()
-        } else {
-            "+Inf".to_string()
-        };
-        render_series(
-            out,
-            &bucket_name,
-            &sample.labels,
-            Some(("le", &le)),
-            &cumulative.to_string(),
-            bucket_exemplar(h, i, |raw| raw.to_string()),
-        );
-    }
-    render_series(
-        out,
-        &format!("{}_sum", sample.name),
-        &sample.labels,
-        None,
-        &h.sum.to_string(),
-        None,
-    );
-    render_series(
-        out,
-        &format!("{}_count", sample.name),
-        &sample.labels,
-        None,
-        &h.count.to_string(),
-        None,
-    );
-}
-
-/// Like [`render_histogram`], but the buckets hold microseconds and the
-/// family is named in seconds: `le` bounds, `_sum`, and exemplar values
-/// convert to float seconds, `_count` stays an integer.
+/// Renders a duration histogram: cumulative `_bucket` series, then
+/// `_sum` and `_count`. The buckets hold microseconds and the family is
+/// named in seconds, so `le` bounds, `_sum`, and exemplar values convert
+/// to float seconds; `_count` stays an integer.
 fn render_time_histogram(out: &mut String, sample: &Sample, h: &HistogramSnapshot) {
     let bucket_name = format!("{}_bucket", sample.name);
     let mut cumulative = 0u64;
@@ -334,17 +297,29 @@ mod tests {
     #[test]
     fn renders_histogram_cumulative_buckets() {
         let reg = Registry::new();
-        let h = reg.histogram("lat", "Latency.", &[]);
-        h.observe(1);
-        h.observe(3);
+        let h = reg.time_histogram("lat_seconds", "Latency.", &[]);
+        h.observe_seconds(0.000_001);
+        h.observe_seconds(0.000_003);
         let text = render(&reg.snapshot());
-        assert!(text.contains("lat_bucket{le=\"1\"} 1\n"));
-        assert!(text.contains("lat_bucket{le=\"4\"} 2\n"));
-        assert!(text.contains("lat_bucket{le=\"+Inf\"} 2\n"));
-        assert!(text.contains("lat_sum 4\n"));
-        assert!(text.contains("lat_count 2\n"));
-        // Buckets are cumulative: every bucket after le=4 also reads 2.
-        assert!(text.contains("lat_bucket{le=\"8\"} 2\n"));
+        assert!(
+            text.contains("lat_seconds_bucket{le=\"0.000001\"} 1\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("lat_seconds_bucket{le=\"0.000004\"} 2\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("lat_seconds_bucket{le=\"+Inf\"} 2\n"),
+            "{text}"
+        );
+        assert!(text.contains("lat_seconds_sum 0.000004\n"), "{text}");
+        assert!(text.contains("lat_seconds_count 2\n"), "{text}");
+        // Buckets are cumulative: every bucket after le=4us also reads 2.
+        assert!(
+            text.contains("lat_seconds_bucket{le=\"0.000008\"} 2\n"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -422,14 +397,6 @@ mod tests {
         assert!(
             after.contains("req_seconds_sum{route=\"/metrics\"} 0.000003\n"),
             "{after}"
-        );
-        // Integer histograms format the exemplar value raw.
-        let ih = reg.histogram("ops", "Ops.", &[]);
-        ih.observe_traced(3, Some("aabb"));
-        let text = render(&reg.snapshot());
-        assert!(
-            text.contains("ops_bucket{le=\"4\"} 1 # {trace_id=\"aabb\"} 3\n"),
-            "{text}"
         );
     }
 

@@ -5,7 +5,7 @@
 //! harness chews through hundreds of memoized sweep jobs. It provides:
 //!
 //! * [`registry`] — a sharded metrics registry handing out lock-free atomic
-//!   [`Counter`]/[`Gauge`]/[`FloatCounter`]/[`FloatGauge`]/[`ObsHistogram`]
+//!   [`Counter`]/[`Gauge`]/[`FloatCounter`]/[`FloatGauge`]/[`TimeHistogram`]
 //!   handles with static label sets and deterministic snapshots.
 //! * [`expo`] — Prometheus/OpenMetrics text rendering plus the name-based
 //!   determinism rule golden tests rely on.
@@ -54,8 +54,8 @@ pub mod summary;
 pub use http::{HttpRequest, HttpResponse, MetricsServer, Router};
 pub use profile::{HostProfile, JobProfile, JobProfiler};
 pub use registry::{
-    Counter, FloatCounter, FloatGauge, Gauge, MetricKind, ObsHistogram, Registry, Sample,
-    SampleValue, Snapshot, TimeHistogram,
+    Counter, FloatCounter, FloatGauge, Gauge, MetricKind, Registry, Sample, SampleValue, Snapshot,
+    TimeHistogram,
 };
 pub use span::{JobSpan, SpanBook, Stage};
 pub use summary::ObsSummary;

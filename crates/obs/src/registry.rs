@@ -3,7 +3,7 @@
 //! Design goals, in order:
 //!
 //! 1. **Zero hot-path locking.** A handle ([`Counter`], [`Gauge`],
-//!    [`FloatCounter`], [`FloatGauge`], [`ObsHistogram`]) is a clone of an
+//!    [`FloatCounter`], [`FloatGauge`], [`TimeHistogram`]) is a clone of an
 //!    `Arc` around plain atomics; recording an observation is one or two
 //!    relaxed atomic operations. The registry's internal locks are only
 //!    taken at registration and snapshot time.
@@ -231,44 +231,13 @@ impl HistogramCore {
     }
 }
 
-/// A power-of-two bucketed histogram handle.
-#[derive(Clone)]
-pub struct ObsHistogram(Arc<HistogramCore>);
-
-impl ObsHistogram {
-    /// Records one observation of `v`.
-    pub fn observe(&self, v: u64) {
-        self.0.record(v);
-    }
-
-    /// Records one observation of `v`, attaching `trace` as the bucket's
-    /// exemplar when present. `None` (and the empty string) behave
-    /// exactly like [`ObsHistogram::observe`].
-    pub fn observe_traced(&self, v: u64, trace: Option<&str>) {
-        match trace {
-            Some(t) => self.0.record_traced(v, t),
-            None => self.0.record(v),
-        }
-    }
-
-    /// Returns the number of observations.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
-    }
-
-    fn snapshot(&self) -> HistogramSnapshot {
-        self.0.snapshot()
-    }
-}
-
 /// A power-of-two bucketed *duration* histogram handle.
 ///
-/// Shares [`HistogramCore`] with [`ObsHistogram`] but records whole
-/// microseconds internally — sub-second latencies would all collapse
-/// into an integer-seconds bucket 0 — while the exposition and summary
-/// present the series in seconds (`le` bounds of `2^i / 1e6`, float
-/// `_sum`), per Prometheus convention for `_seconds` families.
+/// Records whole microseconds internally — sub-second latencies would
+/// all collapse into an integer-seconds bucket 0 — while the exposition
+/// and summary present the series in seconds (`le` bounds of
+/// `2^i / 1e6`, float `_sum`), per Prometheus convention for `_seconds`
+/// families.
 #[derive(Clone)]
 pub struct TimeHistogram(Arc<HistogramCore>);
 
@@ -365,8 +334,6 @@ pub enum SampleValue {
     Int(i64),
     /// Floating-point counter or gauge value.
     Float(f64),
-    /// Histogram buckets + sum + count.
-    Histogram(HistogramSnapshot),
     /// Duration histogram buckets + sum + count; bucket bounds and the
     /// sum are microseconds internally, seconds in every rendering (see
     /// [`HistogramSnapshot::seconds_bound`]).
@@ -398,7 +365,6 @@ enum Instrument {
     FloatCounter(FloatCounter),
     Gauge(Gauge),
     FloatGauge(FloatGauge),
-    Histogram(ObsHistogram),
     TimeHistogram(TimeHistogram),
 }
 
@@ -409,7 +375,6 @@ impl Instrument {
             Instrument::FloatCounter(c) => SampleValue::Float(c.get()),
             Instrument::Gauge(g) => SampleValue::Int(g.get()),
             Instrument::FloatGauge(g) => SampleValue::Float(g.get()),
-            Instrument::Histogram(h) => SampleValue::Histogram(h.snapshot()),
             Instrument::TimeHistogram(h) => SampleValue::TimeHistogram(h.snapshot()),
         }
     }
@@ -557,24 +522,6 @@ impl Registry {
         }
     }
 
-    /// Registers (or retrieves) a power-of-two histogram series.
-    ///
-    /// # Panics
-    /// Panics if `name` was previously registered with a different kind.
-    pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> ObsHistogram {
-        let inst = self.register(
-            name,
-            help,
-            labels,
-            || Instrument::Histogram(ObsHistogram(Arc::new(HistogramCore::new()))),
-            MetricKind::Histogram,
-        );
-        match &*inst {
-            Instrument::Histogram(h) => h.clone(),
-            _ => panic!("metric {name:?} is not a histogram"),
-        }
-    }
-
     /// Registers (or retrieves) a duration histogram series (recorded
     /// in microseconds, exposed in seconds).
     ///
@@ -691,22 +638,22 @@ mod tests {
     #[test]
     fn histogram_buckets_power_of_two() {
         let reg = Registry::new();
-        let h = reg.histogram("lat", "h", &[]);
-        h.observe(1); // bucket 0 (<=1)
-        h.observe(2); // bucket 1 (<=2)
-        h.observe(3); // bucket 2 (<=4)
-        h.observe(1u64 << 40); // overflow bucket
+        let h = reg.time_histogram("lat_seconds", "h", &[]);
+        h.observe_seconds(0.000_001); // 1 us: bucket 0 (<=1)
+        h.observe_seconds(0.000_002); // 2 us: bucket 1 (<=2)
+        h.observe_seconds(0.000_003); // 3 us: bucket 2 (<=4)
+        h.observe_seconds(2e7); // 2e13 us > 2^32: overflow bucket
         let snap = reg.snapshot();
         match &snap.samples[0].value {
-            SampleValue::Histogram(hs) => {
+            SampleValue::TimeHistogram(hs) => {
                 assert_eq!(hs.count, 4);
-                assert_eq!(hs.sum, 6 + (1u64 << 40));
+                assert_eq!(hs.sum, 6 + 20_000_000_000_000);
                 assert_eq!(hs.buckets[0], 1);
                 assert_eq!(hs.buckets[1], 1);
                 assert_eq!(hs.buckets[2], 1);
                 assert_eq!(hs.buckets[HIST_BUCKETS], 1);
             }
-            other => panic!("expected histogram, got {other:?}"),
+            other => panic!("expected time histogram, got {other:?}"),
         }
     }
 

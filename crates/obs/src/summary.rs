@@ -130,17 +130,6 @@ fn push_sample(out: &mut String, sample: &crate::registry::Sample) {
         SampleValue::Uint(v) => out.push_str(&format!(", \"value\": {v}")),
         SampleValue::Int(v) => out.push_str(&format!(", \"value\": {v}")),
         SampleValue::Float(v) => out.push_str(&format!(", \"value\": {}", json_f64(*v))),
-        SampleValue::Histogram(h) => {
-            out.push_str(&format!(", \"count\": {}, \"sum\": {}", h.count, h.sum));
-            out.push_str(", \"buckets\": [");
-            for (i, b) in h.buckets.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&b.to_string());
-            }
-            out.push(']');
-        }
         SampleValue::TimeHistogram(h) => {
             // Duration histograms bucket microseconds; the summary
             // reports the sum in seconds to match the `_seconds` family
@@ -200,7 +189,6 @@ mod tests {
         registry
             .counter("jobs_total", "h", &[("scheme", "Horus")])
             .add(5);
-        registry.histogram("lat", "h", &[]).observe(3);
         registry
             .time_histogram("stage_seconds", "h", &[])
             .observe_seconds(0.5);
@@ -238,10 +226,14 @@ mod tests {
         assert!(json.contains("\"cached\": true"));
         assert!(json.contains("\"name\": \"jobs_total\""));
         assert!(json.contains("\"scheme\": \"Horus\""));
-        assert!(json.contains("\"count\": 1, \"sum\": 3"));
-        // The time histogram reports its sum in seconds, not micros.
+        // The time histogram reports its sum in seconds, not micros,
+        // and its raw per-bucket counts (0.5 s = 500000 us: bucket 19).
         assert!(json.contains("\"name\": \"stage_seconds\""));
-        assert!(json.contains("\"count\": 1, \"sum\": 0.5"));
+        let buckets: Vec<&str> = (0..=32).map(|i| if i == 19 { "1" } else { "0" }).collect();
+        assert!(json.contains(&format!(
+            "\"count\": 1, \"sum\": 0.5, \"buckets\": [{}]",
+            buckets.join(", ")
+        )));
         assert!(json.ends_with("}\n"));
     }
 

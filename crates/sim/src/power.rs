@@ -5,17 +5,14 @@
 //! opposite question — what if the back-up power itself fails `C` cycles
 //! into the drain? [`PowerFailure`] is the cut: it classifies every
 //! issued operation's [`Completion`] against the failure cycle into a
-//! [`WriteFate`] (finished, never started, or caught mid-flight), and it
-//! halts an [`EventQueue`] by cancelling every
-//! event the dead machine can no longer dispatch.
+//! [`WriteFate`] (finished, never started, or caught mid-flight).
 //!
 //! The classification is the timing half of the torn-write model; what a
 //! mid-flight NVM write leaves behind is the functional half and lives in
 //! `horus-nvm`.
 
 use crate::clock::Cycles;
-use crate::queue::EventQueue;
-use crate::resource::Completion;
+use crate::schedule::Completion;
 use serde::{Deserialize, Serialize};
 
 /// What the power failure did to one issued operation.
@@ -94,14 +91,6 @@ impl PowerFailure {
             }
         }
     }
-
-    /// Halts an event queue at the cut: removes and returns every event
-    /// scheduled at or after the failure cycle (the dispatcher is dead;
-    /// they will never fire), in time order. Events strictly before the
-    /// cut stay queued — they already happened.
-    pub fn halt<E>(&self, queue: &mut EventQueue<E>) -> Vec<(Cycles, E)> {
-        queue.cancel_from(self.at)
-    }
 }
 
 #[cfg(test)]
@@ -148,25 +137,5 @@ mod tests {
         let cut = PowerFailure::at(Cycles::ZERO);
         assert_eq!(cut.fate_of(&c(0, 2000)), WriteFate::Lost);
         assert!(!cut.fate_of(&c(0, 1)).is_torn());
-    }
-
-    #[test]
-    fn halt_cancels_only_future_events() {
-        let mut q = EventQueue::new();
-        q.schedule(Cycles(10), "early");
-        q.schedule(Cycles(100), "at-cut");
-        q.schedule(Cycles(100), "at-cut-2");
-        q.schedule(Cycles(200), "late");
-        let cancelled = PowerFailure::at(Cycles(100)).halt(&mut q);
-        assert_eq!(
-            cancelled,
-            vec![
-                (Cycles(100), "at-cut"),
-                (Cycles(100), "at-cut-2"),
-                (Cycles(200), "late"),
-            ]
-        );
-        assert_eq!(q.pop(), Some((Cycles(10), "early")));
-        assert_eq!(q.pop(), None);
     }
 }

@@ -1,11 +1,12 @@
 //! A deterministic discrete-event queue.
 //!
-//! Most of the drain-path timing is handled by chaining
-//! [`Resource`](crate::resource::Resource) completions, but components
-//! that need explicit future events (e.g. the memory controller's
-//! write-pending queue draining in the background, or recovery prefetch)
-//! use this queue. Events at the same timestamp pop in insertion order, so
-//! simulations are fully deterministic.
+//! Drain-path timing comes from chaining
+//! [`SlotResource`](crate::schedule::SlotResource) completions; no
+//! episode schedules an event. The queue is the event-driven building
+//! block for a component that needs explicit future events, and the
+//! `crates/benchmark` `sim.event_ns` kernel times it. Events at the same
+//! timestamp pop in insertion order, so simulations are fully
+//! deterministic.
 //!
 //! # Implementation
 //!

@@ -1,12 +1,11 @@
 //! Out-of-order slot-scheduled resources.
 //!
-//! [`Resource`](crate::resource::Resource) serves requests in *call*
-//! order, which models an in-order pipeline. That is wrong for a drain
-//! engine: the simulator walks flushed blocks one at a time, so the last
-//! (late) operation of block *i* is issued before the first (early)
-//! operation of block *i+1* — an in-order resource would make the late
-//! op's start time gate the early op and serialize entire dependency
-//! chains end to end.
+//! A resource that serves requests in *call* order models an in-order
+//! pipeline. That is wrong for a drain engine: the simulator walks
+//! flushed blocks one at a time, so the last (late) operation of block
+//! *i* is issued before the first (early) operation of block *i+1* — an
+//! in-order resource would make the late op's start time gate the early
+//! op and serialize entire dependency chains end to end.
 //!
 //! [`SlotResource`] instead keeps an explicit schedule of occupancy
 //! slots and lets a request claim the earliest free slot at or after its
@@ -20,8 +19,20 @@
 
 use crate::clock::Cycles;
 use crate::fxhash::FxHashMap;
-use crate::resource::Completion;
 use crate::trace::{Probe, TraceEvent};
+
+/// The outcome of scheduling an operation on a [`SlotResource`].
+///
+/// Callers chain completions to express data dependencies (e.g. "the
+/// MAC computation starts when the ciphertext is ready").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Completion {
+    /// When the resource actually accepted the operation (≥ the request
+    /// time if the resource was busy).
+    pub start: Cycles,
+    /// When the result is available.
+    pub done: Cycles,
+}
 
 /// Slots per occupancy page, as a shift: 64 words of 64 bits.
 const PAGE_SHIFT: u32 = 12;
@@ -345,8 +356,7 @@ impl SlotResource {
 }
 
 /// A group of identical [`SlotResource`]s selected by XOR-folded address
-/// interleaving — the banked-memory analogue of
-/// [`BankSet`](crate::resource::BankSet) with backfilling banks.
+/// interleaving, modelling banked memory with backfilling banks.
 #[derive(Debug, Clone)]
 pub struct SlotBankSet {
     banks: Vec<SlotResource>,
@@ -610,6 +620,18 @@ mod tests {
         probed.reset();
         assert!(probed.probe_enabled());
         assert!(probed.take_trace().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "initiation interval")]
+    fn zero_interval_rejected() {
+        let _ = SlotResource::pipelined("bad", Cycles(10), Cycles(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one bank")]
+    fn empty_bank_set_rejected() {
+        let _ = SlotBankSet::new("pcm", 0, Cycles(1));
     }
 
     #[test]

@@ -21,12 +21,11 @@
 //!   chain, attributing the episode's span to the resources that bound
 //!   it.
 //!
-//! The sink abstraction is deliberately tiny: [`TraceSink`] is the
-//! recording interface, [`NullSink`] is the disabled default, and
-//! [`MemorySink`] is the in-memory buffer every probed component uses.
+//! A probe buffers its events in recording order; callers drain them
+//! with [`Probe::take`].
 
 use crate::clock::Cycles;
-use crate::resource::Completion;
+use crate::schedule::Completion;
 use crate::stats::Histogram;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -63,64 +62,9 @@ impl TraceEvent {
     }
 }
 
-/// Where probed components deliver events.
-pub trait TraceSink {
-    /// Records one event.
-    fn record(&mut self, event: TraceEvent);
-
-    /// Whether recording is active; callers may skip building events
-    /// (and their string labels) entirely when this is `false`.
-    fn is_enabled(&self) -> bool {
-        true
-    }
-}
-
-/// The disabled default: drops everything, reports itself disabled.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _event: TraceEvent) {}
-
-    fn is_enabled(&self) -> bool {
-        false
-    }
-}
-
-/// An in-memory event buffer, in recording order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MemorySink {
-    events: Vec<TraceEvent>,
-}
-
-impl MemorySink {
-    /// An empty sink.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The recorded events, in recording order.
-    #[must_use]
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Removes and returns every recorded event.
-    pub fn take(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
-    }
-}
-
-impl TraceSink for MemorySink {
-    fn record(&mut self, event: TraceEvent) {
-        self.events.push(event);
-    }
-}
-
-/// A detachable per-component recorder: `None` (the default) behaves
-/// like [`NullSink`] at the cost of one branch per issue; enabling it
-/// attaches a [`MemorySink`] under a track label.
+/// A detachable per-component recorder: `None` (the default) records
+/// nothing at the cost of one branch per issue; enabling it attaches an
+/// event buffer under a track label.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Probe {
     inner: Option<Box<ProbeInner>>,
@@ -129,7 +73,7 @@ pub struct Probe {
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct ProbeInner {
     track: String,
-    sink: MemorySink,
+    events: Vec<TraceEvent>,
 }
 
 impl Probe {
@@ -143,7 +87,7 @@ impl Probe {
     pub fn enable(&mut self, track: impl Into<String>) {
         self.inner = Some(Box::new(ProbeInner {
             track: track.into(),
-            sink: MemorySink::new(),
+            events: Vec::new(),
         }));
     }
 
@@ -163,7 +107,7 @@ impl Probe {
     #[inline]
     pub fn record(&mut self, name: &str, ready: Cycles, completion: Completion) {
         if let Some(p) = self.inner.as_deref_mut() {
-            p.sink.record(TraceEvent {
+            p.events.push(TraceEvent {
                 track: p.track.clone(),
                 name: name.to_owned(),
                 ready: ready.0,
@@ -176,7 +120,7 @@ impl Probe {
     /// Records an explicit span (phase markers; no-op when disabled).
     pub fn record_span(&mut self, name: &str, start: u64, end: u64) {
         if let Some(p) = self.inner.as_deref_mut() {
-            p.sink.record(TraceEvent {
+            p.events.push(TraceEvent {
                 track: p.track.clone(),
                 name: name.to_owned(),
                 ready: start,
@@ -190,14 +134,14 @@ impl Probe {
     pub fn take(&mut self) -> Vec<TraceEvent> {
         self.inner
             .as_deref_mut()
-            .map(|p| p.sink.take())
+            .map(|p| std::mem::take(&mut p.events))
             .unwrap_or_default()
     }
 
     /// Drops buffered events without disabling (a new episode).
     pub fn clear(&mut self) {
         if let Some(p) = self.inner.as_deref_mut() {
-            p.sink.take();
+            p.events.clear();
         }
     }
 }
@@ -544,13 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_is_disabled_and_silent() {
-        let mut s = NullSink;
-        assert!(!s.is_enabled());
-        s.record(ev("x", "y", 0, 0, 1));
-    }
-
-    #[test]
     fn probe_records_only_when_enabled() {
         let mut p = Probe::disabled();
         p.record(
@@ -580,6 +517,15 @@ mod tests {
         assert_eq!(events[0].duration(), 2000);
         assert!(p.take().is_empty(), "take drains");
         assert!(p.enabled(), "take keeps the probe on");
+
+        // Events come back in recording order; clear drops them.
+        p.record_span("drain.data", 0, 4);
+        p.record_span("drain.finish", 4, 6);
+        let names: Vec<String> = p.take().into_iter().map(|e| e.name).collect();
+        assert_eq!(names, ["drain.data", "drain.finish"]);
+        p.record_span("drain.data", 0, 4);
+        p.clear();
+        assert!(p.enabled() && p.take().is_empty());
     }
 
     #[test]
@@ -697,17 +643,5 @@ mod tests {
         let a = critical_path(&events, 10_000).unwrap();
         let b = critical_path(&events, 10_000).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn memory_sink_buffers_in_order() {
-        let mut s = MemorySink::new();
-        s.record(ev("a", "x", 0, 0, 1));
-        s.record(ev("b", "y", 1, 1, 2));
-        assert!(s.is_enabled());
-        assert_eq!(s.events().len(), 2);
-        let taken = s.take();
-        assert_eq!(taken[0].track, "a");
-        assert!(s.events().is_empty());
     }
 }

@@ -1,9 +1,9 @@
 //! Property tests for the slot scheduler: whatever the arrival order,
 //! the schedule must respect readiness, capacity, and work conservation.
 
-use horus_sim::resource::Completion;
 use horus_sim::rng::{check, default_cases, Rng};
 use horus_sim::schedule::{SlotBankSet, SlotResource};
+use horus_sim::Completion;
 use horus_sim::Cycles;
 use std::collections::BTreeMap;
 

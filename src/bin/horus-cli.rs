@@ -124,23 +124,6 @@ impl Args {
     }
 }
 
-/// Parses a harness-backed subcommand: the shared `repro-*` flag set,
-/// minus the shared flags in `unread` (refused, since `cmd` would
-/// ignore them), plus the subcommand's own flags, which `own` claims.
-fn harness_args(
-    argv: &[String],
-    cmd: &str,
-    unread: &[&str],
-    mut own: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
-) -> Result<HarnessArgs, String> {
-    HarnessArgs::parse_from_with(argv.iter().cloned(), |flag, it| {
-        if unread.contains(&flag) {
-            return Err(format!("{cmd} does not take '{flag}'"));
-        }
-        own(flag, it)
-    })
-}
-
 fn build(llc_mb: u64, stride: u64, scheme: DrainScheme) -> SecureEpdSystem {
     let cfg = SystemConfig::with_llc_bytes(llc_mb << 20);
     let mut sys = SecureEpdSystem::for_scheme(cfg.clone(), scheme);
@@ -301,14 +284,15 @@ fn cmd_attack(argv: &[String]) -> Result<(), String> {
 fn cmd_sweep(argv: &[String]) -> Result<(), String> {
     let mut llc = "8,16".to_owned();
     let mut json = false;
-    let args = harness_args(argv, "sweep", &["--quick", "--sim-threads"], |flag, it| {
-        match flag {
-            "--llc" => llc = it.next().ok_or("--llc requires a value")?,
-            "--json" => json = true,
-            _ => return Ok(false),
-        }
-        Ok(true)
-    })?;
+    let args =
+        HarnessArgs::parse_refusing(argv.iter().cloned(), "sweep", &["--quick"], |flag, it| {
+            match flag {
+                "--llc" => llc = it.next().ok_or("--llc requires a value")?,
+                "--json" => json = true,
+                _ => return Ok(false),
+            }
+            Ok(true)
+        })?;
     let llcs: Vec<u64> = llc
         .split(',')
         .map(|v| v.trim().parse::<u64>().map_err(|e| format!("--llc: {e}")))
@@ -375,16 +359,10 @@ fn cmd_crash_sweep(argv: &[String]) -> Result<ExitCode, String> {
     let mut model = None;
     let mut out = None;
     let mut json = false;
-    let mut args = harness_args(
-        argv,
+    let mut args = HarnessArgs::parse_refusing(
+        argv.iter().cloned(),
         "crash-sweep",
-        &[
-            "--cache-dir",
-            "--no-cache",
-            "--service",
-            "--service-tenant",
-            "--sim-threads",
-        ],
+        &["--cache-dir", "--no-cache", "--service", "--service-tenant"],
         |flag, it| {
             match flag {
                 "--points" => points = Some(it.next().ok_or("--points requires a value")?),

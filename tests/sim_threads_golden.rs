@@ -1,15 +1,15 @@
-//! Golden tests for the sharded episode core: `--sim-threads N` must be
-//! byte-identical to the single-threaded reference run — serialized job
-//! results (op counts, `Stats` JSON) and exported golden traces alike.
+//! Golden tests for the episode pool: fanning independent episodes out
+//! over `horus_harness::run_indexed` must be byte-identical to the
+//! single-worker run — serialized job results (op counts, `Stats` JSON)
+//! and exported golden traces alike — at pool sizes {1, 2, 8}.
 //!
 //! Companion to `trace_golden.rs`: that file pins determinism across
-//! *harness worker* counts; this one pins it across the `EpisodeShards`
-//! pool sizes the new `--sim-threads` flag selects (the CI matrix runs
-//! {1, 2, 8}).
+//! the memoizing `Harness`; this one pins the bare pool the harness and
+//! `bench-gate`'s throughput rating both run episodes on.
 
 use horus::core::{DrainScheme, SystemConfig};
-use horus::harness::JobSpec;
-use horus::sim::{chrome_trace_json, EpisodeShards};
+use horus::harness::{run_indexed, JobSpec};
+use horus::sim::chrome_trace_json;
 use horus::workload::FillPattern;
 
 fn spec(scheme: DrainScheme) -> JobSpec {
@@ -20,21 +20,23 @@ fn spec(scheme: DrainScheme) -> JobSpec {
     )
 }
 
+/// Runs `episode` once per scheme, in `DrainScheme::ALL` order, on a
+/// pool of `threads` workers.
+fn per_scheme<T: Send>(threads: usize, episode: impl Fn(JobSpec) -> T + Sync) -> Vec<T> {
+    run_indexed(DrainScheme::ALL.len(), threads, |i| {
+        episode(spec(DrainScheme::ALL[i]))
+    })
+    .into_iter()
+    .map(|r| r.expect("episode panicked"))
+    .collect()
+}
+
 /// Serializes the five smoke-scale scheme episodes after fanning them out
 /// over a pool of `threads` workers. The JSON string is the comparison
 /// unit so every field — op counts, stats counters, histograms — is held
 /// to byte identity, not just the headline numbers.
 fn results_json(threads: usize) -> String {
-    let shards = EpisodeShards::new(threads);
-    let results = shards.run(
-        DrainScheme::ALL
-            .iter()
-            .map(|&s| {
-                let spec = spec(s);
-                move || spec.execute()
-            })
-            .collect(),
-    );
+    let results = per_scheme(threads, |spec| spec.execute());
     serde_json::to_string(&results).expect("job results serialize")
 }
 
@@ -45,7 +47,7 @@ fn sim_threads_results_are_byte_identical_across_pool_sizes() {
         assert_eq!(
             results_json(threads),
             reference,
-            "--sim-threads {threads} diverged from the single-threaded run"
+            "a {threads}-worker pool diverged from the single-worker run"
         );
     }
 }
@@ -53,20 +55,12 @@ fn sim_threads_results_are_byte_identical_across_pool_sizes() {
 #[test]
 fn sim_threads_golden_traces_are_byte_identical() {
     // Probed episodes: the full cycle-stamped event stream must survive
-    // sharding, not just the aggregate counts.
+    // the pool, not just the aggregate counts.
     let traces = |threads: usize| -> Vec<String> {
-        EpisodeShards::new(threads).run(
-            DrainScheme::ALL
-                .iter()
-                .map(|&s| {
-                    let spec = spec(s);
-                    move || {
-                        let (_, trace) = spec.execute_traced();
-                        chrome_trace_json(&trace)
-                    }
-                })
-                .collect(),
-        )
+        per_scheme(threads, |spec| {
+            let (_, trace) = spec.execute_traced();
+            chrome_trace_json(&trace)
+        })
     };
     let reference = traces(1);
     assert_eq!(reference.len(), DrainScheme::ALL.len());
@@ -82,15 +76,7 @@ fn sim_threads_golden_traces_are_byte_identical() {
 fn sim_threads_merge_preserves_scheme_order() {
     // The merged vector must line up with DrainScheme::ALL submission
     // order, whatever order the workers finished in.
-    let results = EpisodeShards::new(8).run(
-        DrainScheme::ALL
-            .iter()
-            .map(|&s| {
-                let spec = spec(s);
-                move || spec.execute()
-            })
-            .collect(),
-    );
+    let results = per_scheme(8, |spec| spec.execute());
     let names: Vec<&str> = results.iter().map(|r| r.drain.scheme.as_str()).collect();
     let expected: Vec<&str> = DrainScheme::ALL.iter().map(|s| s.name()).collect();
     assert_eq!(names, expected);
