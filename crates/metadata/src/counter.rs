@@ -44,7 +44,14 @@ impl Increment {
     }
 }
 
-/// A split-counter block: one major + 64 minor counters.
+/// A split-counter block: one major + 64 minor counters, held in its
+/// packed 64-byte memory layout — major (8 B little-endian) followed by
+/// the 64 minors bit-packed 7 bits each, LSB-first (56 B).
+///
+/// Reads decode one 7-bit field and a bump rewrites only that field, so
+/// [`from_block`](Self::from_block) and [`to_block`](Self::to_block) are
+/// plain copies. Every 64-byte block is a valid counter block (8 + 64 × 7
+/// bits is exactly 512), so the round trip is the identity on bytes.
 ///
 /// ```
 /// use horus_metadata::CounterBlock;
@@ -55,11 +62,8 @@ impl Increment {
 /// let bytes = cb.to_block();
 /// assert_eq!(CounterBlock::from_block(&bytes), cb);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterBlock {
-    major: u64,
-    minors: [u8; MINORS],
-}
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct CounterBlock(Block);
 
 impl Default for CounterBlock {
     fn default() -> Self {
@@ -67,20 +71,43 @@ impl Default for CounterBlock {
     }
 }
 
+impl std::fmt::Debug for CounterBlock {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let minors: [u8; MINORS] = std::array::from_fn(|s| self.minor(s));
+        f.debug_struct("CounterBlock")
+            .field("major", &self.major())
+            .field("minors", &minors)
+            .finish()
+    }
+}
+
 impl CounterBlock {
+    /// The little-endian two-byte window holding `slot`'s minor, with the
+    /// index of its low byte and the field's bit offset within it. The
+    /// last slot ends on the block's last byte, so its window starts one
+    /// byte early.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= 64`.
+    fn window(&self, slot: usize) -> (usize, u32, u16) {
+        assert!(slot < MINORS, "minor slot {slot} out of range");
+        let bit = 64 + 7 * slot;
+        let byte = (bit / 8).min(62);
+        let window = u16::from_le_bytes([self.0[byte], self.0[byte + 1]]);
+        (byte, (bit - 8 * byte) as u32, window)
+    }
+
     /// A fresh block: all counters zero.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            major: 0,
-            minors: [0; MINORS],
-        }
+        Self([0; 64])
     }
 
     /// The major counter.
     #[must_use]
     pub fn major(&self) -> u64 {
-        self.major
+        u64::from_le_bytes(self.0[..8].try_into().expect("8-byte slice"))
     }
 
     /// The minor counter of `slot`.
@@ -90,13 +117,14 @@ impl CounterBlock {
     /// Panics if `slot >= 64`.
     #[must_use]
     pub fn minor(&self, slot: usize) -> u8 {
-        self.minors[slot]
+        let (_, off, window) = self.window(slot);
+        (window >> off) as u8 & MINOR_MAX
     }
 
     /// The full encryption counter of `slot`: `major << 7 | minor`.
     #[must_use]
     pub fn counter(&self, slot: usize) -> u64 {
-        (self.major << 7) | u64::from(self.minors[slot])
+        (self.major() << 7) | u64::from(self.minor(slot))
     }
 
     /// Increments the minor counter of `slot`, handling overflow per the
@@ -106,51 +134,35 @@ impl CounterBlock {
     ///
     /// Panics if `slot >= 64`.
     pub fn increment(&mut self, slot: usize) -> Increment {
-        if self.minors[slot] == MINOR_MAX {
-            self.major += 1;
-            self.minors = [0; MINORS];
-            self.minors[slot] = 1;
-            Increment::Overflowed(self.counter(slot))
+        let (byte, off, window) = self.window(slot);
+        let minor = (window >> off) as u8 & MINOR_MAX;
+        if minor == MINOR_MAX {
+            let major = self.major() + 1;
+            self.0[..8].copy_from_slice(&major.to_le_bytes());
+            self.0[8..].fill(0);
+            self.0[byte..byte + 2].copy_from_slice(&(1u16 << off).to_le_bytes());
+            Increment::Overflowed((major << 7) | 1)
         } else {
-            self.minors[slot] += 1;
-            Increment::Advanced(self.counter(slot))
+            // The field is below its maximum, so adding one at its offset
+            // cannot carry out of it.
+            let window = window + (1 << off);
+            self.0[byte..byte + 2].copy_from_slice(&window.to_le_bytes());
+            Increment::Advanced((self.major() << 7) | u64::from(minor + 1))
         }
     }
 
-    /// Serializes to the 64-byte memory layout: major (8 B little-endian)
-    /// followed by the 64 minors bit-packed 7 bits each (56 B).
+    /// The 64-byte memory layout: major (8 B little-endian) followed by
+    /// the 64 minors bit-packed 7 bits each (56 B).
     #[must_use]
     pub fn to_block(&self) -> Block {
-        let mut out = [0u8; 64];
-        out[..8].copy_from_slice(&self.major.to_le_bytes());
-        for (i, &m) in self.minors.iter().enumerate() {
-            let v = m & 0x7f;
-            let bit = 7 * i;
-            let (byte, off) = (bit / 8, (bit % 8) as u32);
-            out[8 + byte] |= v << off;
-            if off > 1 {
-                out[8 + byte + 1] |= v >> (8 - off);
-            }
-        }
-        out
+        self.0
     }
 
-    /// Parses the 64-byte memory layout written by
+    /// Reads the 64-byte memory layout written by
     /// [`to_block`](Self::to_block).
     #[must_use]
     pub fn from_block(block: &Block) -> Self {
-        let major = u64::from_le_bytes(block[..8].try_into().expect("8-byte slice"));
-        let mut minors = [0u8; MINORS];
-        for (i, m) in minors.iter_mut().enumerate() {
-            let bit = 7 * i;
-            let (byte, off) = (bit / 8, (bit % 8) as u32);
-            let mut v = block[8 + byte] >> off;
-            if off > 1 {
-                v |= block[8 + byte + 1] << (8 - off);
-            }
-            *m = v & 0x7f;
-        }
-        Self { major, minors }
+        Self(*block)
     }
 }
 
@@ -227,33 +239,54 @@ mod tests {
         }
     }
 
+    /// Bumps `slot` `n` times from its current value.
+    fn bump(cb: &mut CounterBlock, slot: usize, n: usize) {
+        for _ in 0..n {
+            cb.increment(slot);
+        }
+    }
+
     #[test]
     fn block_roundtrip_exhaustive_slots() {
         let mut cb = CounterBlock::new();
         for s in 0..MINORS {
-            for _ in 0..(s % 7) + 1 {
-                cb.increment(s);
-            }
+            bump(&mut cb, s, (s % 7) + 1);
         }
-        cb.major = 0x0123_4567_89ab_cdef;
-        let block = cb.to_block();
-        assert_eq!(CounterBlock::from_block(&block), cb);
+        let mut bytes = cb.to_block();
+        bytes[..8].copy_from_slice(&0x0123_4567_89ab_cdef_u64.to_le_bytes());
+        let cb = CounterBlock::from_block(&bytes);
+        assert_eq!(cb.major(), 0x0123_4567_89ab_cdef);
+        for s in 0..MINORS {
+            assert_eq!(usize::from(cb.minor(s)), (s % 7) + 1, "slot {s}");
+        }
+        assert_eq!(cb.to_block(), bytes);
+        assert_eq!(CounterBlock::from_block(&cb.to_block()), cb);
     }
 
     #[test]
     fn packing_is_dense() {
-        // Slot 63 set to 127 must land in the last byte.
+        // Slot 63 set to 127 must land in the last byte's top seven bits.
         let mut cb = CounterBlock::new();
-        cb.minors[63] = 127;
+        bump(&mut cb, 63, usize::from(MINOR_MAX));
         let block = cb.to_block();
-        assert_ne!(block[63], 0);
-        assert_eq!(CounterBlock::from_block(&block).minor(63), 127);
+        assert_eq!(block[63], MINOR_MAX << 1);
+        assert!(block[..63].iter().all(|&b| b == 0));
+        let rt = CounterBlock::from_block(&block);
+        assert_eq!(rt.minor(63), MINOR_MAX);
+        assert!((0..63).all(|s| rt.minor(s) == 0));
     }
 
     #[test]
     fn distinct_slots_do_not_interfere() {
+        let want = |i: usize| (i as u8).wrapping_mul(37) & 0x7f;
         let mut cb = CounterBlock::new();
-        cb.minors = core::array::from_fn(|i| (i as u8).wrapping_mul(37) & 0x7f);
+        for s in 0..MINORS {
+            bump(&mut cb, s, usize::from(want(s)));
+        }
+        assert_eq!(cb.major(), 0);
+        for s in 0..MINORS {
+            assert_eq!(cb.minor(s), want(s), "slot {s}");
+        }
         let rt = CounterBlock::from_block(&cb.to_block());
         assert_eq!(rt, cb);
     }

@@ -55,9 +55,29 @@ fn cmac_detects_any_flip() {
 }
 
 /// Split-counter blocks round-trip through their packed 64-byte
-/// layout for any counter state.
+/// layout for any counter state, and that layout is the one pinned
+/// byte for byte below.
 #[test]
 fn counter_block_packing_roundtrip() {
+    // Slot 2 overflows once (major 1, slot 2 reads 1), then slots 0, 1
+    // and 63 are bumped 3, 5 and 127 times. Minors pack 7 bits each,
+    // LSB-first from byte 8: slot 0 is bits 0..7 of byte 8, slot 1 is
+    // bit 7 of byte 8 plus bits 0..6 of byte 9, slot 2 starts at bit 6
+    // of byte 9, and slot 63 is the top seven bits of byte 63.
+    let mut cb = CounterBlock::new();
+    for (slot, n) in [(2, 128), (0, 3), (1, 5), (63, 127)] {
+        for _ in 0..n {
+            cb.increment(slot);
+        }
+    }
+    let mut pinned = [0u8; 64];
+    pinned[0] = 1;
+    pinned[8] = 3 | ((5 & 1) << 7);
+    pinned[9] = (5 >> 1) | (1 << 6);
+    pinned[63] = 127 << 1;
+    assert_eq!(cb.to_block(), pinned);
+    assert_eq!(CounterBlock::from_block(&pinned), cb);
+
     check("counter_block_packing_roundtrip", 64, |rng| {
         let mut cb = CounterBlock::new();
         for (slot, n) in rng.vec(0..40, |r| (r.below(64) as usize, r.range(1..160))) {
