@@ -1,5 +1,4 @@
-//! The crash-point verification sweep behind `horus-cli crash-sweep`
-//! and `repro-crash`.
+//! The crash-point verification sweep behind `horus-cli crash-sweep`.
 //!
 //! For each scheme, one probed reference drain measures the episode's
 //! planned length and its phase boundaries (`drain.data` →

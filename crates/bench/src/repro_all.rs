@@ -414,19 +414,19 @@ Horus-DLM      67          2        65       0   cycles 0..21399            56
 Three things to read off it. First, the **SILENT column is zero for
 Horus at every sampled cycle** — the persistent drain-open register
 means an interrupted episode is always announced; the command (and the
-CI `crash-sweep` job, which uploads `crash-matrix.json` as an
-artifact) exits nonzero otherwise. Second, Base-EU's silent points are
-real: cut its drain before any line reaches NVM and reads come back as
-fresh memory with recovery reporting success — the vulnerability
-window the paper motivates Horus with. Third, **best salvage**: inside
+CI `crash-sweep` job, which runs it under all three torn-write models
+and uploads each `crash-matrix-<model>.json` as an artifact) exits
+nonzero otherwise. Second, Base-EU's silent points are real: cut its
+drain before any line reaches NVM and reads come back as fresh memory
+with recovery reporting success — the vulnerability window the paper
+motivates Horus with. Third, **best salvage**: inside
 the loss window Horus still restores a verified prefix of the vault
 (63 of 64 lines at the best sampled cut above) where the baselines
 restore nothing.
 
-The companion `repro-crash` binary runs the same sweep with the shared
-`repro-*` flags, and `bench-gate` (CI: `bench regression gate`)
-re-measures the smoke plan's headline op counts against the committed
-`BENCH_smoke.json` baseline with 2% tolerance — refresh it with
+`bench-gate` (CI: `bench regression gate`) re-measures the smoke
+plan's headline op counts against the committed `BENCH_smoke.json`
+baseline with 2% tolerance — refresh it with
 `cargo run --release -p horus-bench --bin bench-gate -- --update` when
 a model change legitimately moves the numbers.
 
@@ -438,7 +438,7 @@ fleet telemetry while it runs (`horus-obs`; see ARCHITECTURE.md,
 endpoint and a run directory:
 
 ```
-cargo run --release -p horus-bench --bin repro-crash -- \
+cargo run --release --bin horus-cli -- crash-sweep \
     --metrics-addr 127.0.0.1:9464 --run-dir crash-run
 ```
 

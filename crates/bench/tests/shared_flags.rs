@@ -44,7 +44,6 @@ fn sim_threads_is_unknown_everywhere() {
         env!("CARGO_BIN_EXE_bench-gate"),
         env!("CARGO_BIN_EXE_repro-all"),
         env!("CARGO_BIN_EXE_repro-config"),
-        env!("CARGO_BIN_EXE_repro-crash"),
         env!("CARGO_BIN_EXE_repro-domains"),
         env!("CARGO_BIN_EXE_repro-faults"),
         env!("CARGO_BIN_EXE_repro-fig06"),

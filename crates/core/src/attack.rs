@@ -8,8 +8,9 @@
 //! must detect.
 //!
 //! Every attack here must cause [`SecureEpdSystem::recover`] to return
-//! [`RecoveryError::ChvIntegrity`](crate::RecoveryError); the tests in
-//! `tests/security.rs` assert exactly that.
+//! [`RecoveryError::ChvIntegrity`](crate::RecoveryError) at the first
+//! tampered group, restoring nothing; the tests in `tests/security.rs`
+//! assert exactly that.
 
 use crate::chv::ChvLayout;
 use crate::system::SecureEpdSystem;

@@ -465,30 +465,16 @@ impl ChvReader {
     /// Returns the verified entries, or `None` if the group's
     /// second-level MAC did not match.
     ///
+    /// A DLM MAC block covers 64 entries (8 groups), so a sequential
+    /// recovery walk reads it once per supergroup, keeps it in a
+    /// register and passes it as `preloaded_mac_block`; with `None` the
+    /// group reads its MAC block itself.
+    ///
     /// # Panics
     ///
-    /// Panics if called on a single-level layout or if `base_i` is not
-    /// 8-aligned.
+    /// Panics if called on a single-level layout, if `base_i` is not
+    /// 8-aligned, or if `len` is outside `1..=8`.
     pub fn read_group_dlm(
-        &self,
-        p: &mut Platform,
-        base_i: u64,
-        len: usize,
-        dc_of: impl Fn(u64) -> u64,
-        ready: Cycles,
-    ) -> (Option<Vec<ChvEntry>>, Cycles) {
-        self.read_group_dlm_with_mac(p, base_i, len, dc_of, None, ready)
-    }
-
-    /// [`read_group_dlm`](Self::read_group_dlm) with an already-fetched
-    /// MAC block: a DLM MAC block covers 64 entries (8 groups), so a
-    /// sequential recovery walk reads it once per supergroup and keeps it
-    /// in a register.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`read_group_dlm`](Self::read_group_dlm).
-    pub fn read_group_dlm_with_mac(
         &self,
         p: &mut Platform,
         base_i: u64,
@@ -696,7 +682,7 @@ mod tests {
         let mut base = 0u64;
         while base < 70 {
             let len = (70 - base).min(8) as usize;
-            let (es, _) = r.read_group_dlm(&mut p, base, len, |i| 1000 + i, Cycles::ZERO);
+            let (es, _) = r.read_group_dlm(&mut p, base, len, |i| 1000 + i, None, Cycles::ZERO);
             restored.extend(es.expect("group verifies"));
             base += 8;
         }
@@ -772,8 +758,7 @@ mod tests {
         let r = ChvReader::new(layout, &K1, &K2);
         let mac_block = p.nvm.device().read_block(layout.mac_block_addr(0));
         let before = p.nvm.stats().get("mem.read.chv_mac");
-        let (res, _) =
-            r.read_group_dlm_with_mac(&mut p, 0, 8, |i| i + 1, Some(mac_block), Cycles::ZERO);
+        let (res, _) = r.read_group_dlm(&mut p, 0, 8, |i| i + 1, Some(mac_block), Cycles::ZERO);
         assert!(res.is_some());
         assert_eq!(
             p.nvm.stats().get("mem.read.chv_mac"),
@@ -798,7 +783,7 @@ mod tests {
         ct[10] ^= 0x80;
         p.nvm.device_mut().write_block(victim, ct);
         let r = ChvReader::new(layout, &K1, &K2);
-        let (res, _) = r.read_group_dlm(&mut p, 0, 8, |i| i + 1, Cycles::ZERO);
+        let (res, _) = r.read_group_dlm(&mut p, 0, 8, |i| i + 1, None, Cycles::ZERO);
         assert!(
             res.is_none(),
             "second-level MAC must catch a tampered member"

@@ -16,13 +16,16 @@
 //! * **Horus** — the persistent DC register holds the count of CHV
 //!   pushes *issued* before the cut (the register increments at issue,
 //!   not at write completion), and the persistent one-bit *drain-open*
-//!   register records that the episode never finished. Recovery then
-//!   salvages the longest verifiable CHV prefix and — because drain-open
-//!   is set — reports the recovery as incomplete no matter how much it
-//!   salvaged: lines that were never pushed are gone and the machine
-//!   knows it. This is what makes Horus crash-*detectable* at every
-//!   cycle: it can lose recent data to the outage window, but it never
-//!   lies about having it.
+//!   register records that the episode never finished.
+//!   [`recover_after_crash`](SecureEpdSystem::recover_after_crash) runs
+//!   the same vault walk as a complete recovery, but because drain-open
+//!   is set the walk salvages the longest verifiable CHV prefix instead
+//!   of failing on the first bad group, and the recovery reports itself
+//!   incomplete no matter how much it salvaged: lines that were never
+//!   pushed are gone and the machine knows it. This is what makes Horus
+//!   crash-*detectable* at every cycle: it can lose recent data to the
+//!   outage window, but it never lies about having it. A completed
+//!   drain or a successful recovery closes the register again.
 //! * **Baselines** — Base-LU/EU have no such register (that is their
 //!   documented vulnerability). Their on-chip metadata engine reverts to
 //!   its pre-drain snapshot (the shadow-flush commit never happened) and
@@ -33,11 +36,9 @@
 //! recover, read back every pre-crash dirty line, and return a
 //! [`CrashVerdict`] — the row material for the crash matrix.
 
-use crate::chv::ChvReader;
 use crate::drain::DrainScheme;
 use crate::recovery::{RecoveryError, RecoveryMode, RecoveryReport};
 use crate::system::{Episode, SecureEpdSystem};
-use horus_nvm::Region;
 use horus_sim::{Cycles, PowerFailure};
 use serde::{Deserialize, Serialize};
 
@@ -245,174 +246,35 @@ impl SecureEpdSystem {
 
     /// Recovers from the most recent episode, interrupted or not.
     ///
-    /// A complete episode delegates to
-    /// [`recover_with`](SecureEpdSystem::recover_with). An interrupted
-    /// Horus episode (drain-open register set) instead salvages the
-    /// longest verifiable CHV prefix — verification failures past the
-    /// prefix are *expected* there (torn or lost vault writes), not
-    /// errors — and always reports `complete: false`.
+    /// The persistent drain-open register decides. Clear, the episode
+    /// completed and this is
+    /// [`recover_with`](SecureEpdSystem::recover_with). Set, the same
+    /// vault walk salvages the longest verifiable CHV prefix —
+    /// verification failures past it are *expected* there (torn or lost
+    /// vault writes), not errors — and the recovery always reports
+    /// `complete: false`: the register proves dirty lines existed that
+    /// were never pushed (or never became durable).
     ///
     /// # Errors
     ///
-    /// See [`RecoveryError`]; on the prefix path only metadata failures
+    /// See [`RecoveryError`]; when salvaging, only metadata failures
     /// while re-installing verified entries surface as errors.
     pub fn recover_after_crash(
         &mut self,
         mode: RecoveryMode,
     ) -> Result<CrashRecovery, RecoveryError> {
         let ep = self.episode.ok_or(RecoveryError::NoEpisode)?;
-        if !self.drain_open {
-            let report = self.recover_with(mode)?;
-            return Ok(CrashRecovery {
-                complete: true,
-                verified_prefix: ep.blocks,
-                report,
-            });
-        }
-
-        self.platform.reset_timing();
-        self.clock = Cycles::ZERO;
-        let verified = self.recover_horus_prefix(ep.scheme, ep.blocks, mode)?;
-        self.counters.clear_ephemeral();
-        self.drain_open = false;
-        self.episode = None;
-
-        let cycles = self.platform.busy_until();
-        if self.platform.probe_enabled() {
-            self.platform.record_phase(
-                &format!("recovery.crash.{}", ep.scheme.name()),
-                Cycles::ZERO,
-                cycles,
-            );
-            self.episode_trace = Some(self.platform.take_trace());
-        }
+        let salvage = self.drain_open;
+        let report = self.recover_episode(mode, salvage)?;
         Ok(CrashRecovery {
-            // Never complete: the drain-open register proves dirty lines
-            // existed that were never pushed (or never became durable).
-            complete: false,
-            verified_prefix: verified,
-            report: RecoveryReport {
-                scheme: ep.scheme.name().to_owned(),
-                cycles: cycles.0,
-                seconds: self.config.nvm.frequency.cycles_to_seconds(cycles),
-                restored_blocks: verified,
-                reads: self.platform.nvm.total_reads(),
-                mac_ops: self.platform.total_mac_ops(),
+            complete: !salvage,
+            verified_prefix: if salvage {
+                report.restored_blocks
+            } else {
+                ep.blocks
             },
+            report,
         })
-    }
-
-    /// Walks the vault like `recover_horus`, but stops at the first
-    /// entry (SLM) or group (DLM) that fails verification instead of
-    /// erroring, restoring everything before it.
-    fn recover_horus_prefix(
-        &mut self,
-        scheme: DrainScheme,
-        n: u64,
-        mode: RecoveryMode,
-    ) -> Result<u64, RecoveryError> {
-        let layout = self.chv_layout().expect("Horus episode has a layout");
-        let reader = ChvReader::new(layout, &self.config.chv_key(), &self.config.chv_mac_key());
-        let dc_base = self.counters.dc() - self.counters.edc() + 1;
-        let mut t = Cycles::ZERO;
-        let mut entries = Vec::with_capacity(n as usize);
-
-        let mut base = 0u64;
-        let mut mac_reg: Option<(u64, horus_nvm::Block)> = None;
-        'walk: while base < n {
-            let len = (n - base).min(8) as usize;
-            match scheme {
-                DrainScheme::HorusSlm => {
-                    let (es, rt) =
-                        reader.read_group_slm(&mut self.platform, base, len, |i| dc_base + i, t);
-                    t = rt;
-                    match es {
-                        Some(es) => entries.extend(es),
-                        None => {
-                            // The group MAC check is per-member for SLM,
-                            // so a failing group has a salvageable
-                            // within-group prefix: refine entry by entry.
-                            for k in 0..len as u64 {
-                                let (e, rt) = reader.read_entry_slm(
-                                    &mut self.platform,
-                                    base + k,
-                                    dc_base + base + k,
-                                    t,
-                                );
-                                t = rt;
-                                match e {
-                                    Some(e) => entries.push(e),
-                                    None => break,
-                                }
-                            }
-                            break 'walk;
-                        }
-                    }
-                }
-                DrainScheme::HorusDlm => {
-                    // One MAC block serves a 64-entry supergroup; a torn
-                    // or lost MAC block fails all its groups, so DLM
-                    // salvage is group-granular by construction.
-                    let mac_addr = reader.layout().mac_block_addr(base);
-                    if mac_reg.map(|(a, _)| a) != Some(mac_addr) {
-                        let (b, c) = self.platform.nvm.read(mac_addr, "chv_mac", t);
-                        t = c.done;
-                        mac_reg = Some((mac_addr, b));
-                    }
-                    let preloaded = mac_reg.map(|(_, b)| b);
-                    let (es, rt) = reader.read_group_dlm_with_mac(
-                        &mut self.platform,
-                        base,
-                        len,
-                        |i| dc_base + i,
-                        preloaded,
-                        t,
-                    );
-                    t = rt;
-                    match es {
-                        Some(es) => entries.extend(es),
-                        None => break 'walk,
-                    }
-                }
-                _ => unreachable!("prefix recovery is Horus-only"),
-            }
-            base += 8;
-        }
-
-        let restored = entries.len() as u64;
-        // Metadata entries first, for the same reason as recover_horus:
-        // a data restore can overflow an LLC set and push the victim
-        // through the secure write path.
-        entries.sort_by_key(|e| match self.map.region_of(e.orig_addr) {
-            Region::Counter | Region::Mac | Region::Bmt(_) => 0,
-            _ => 1,
-        });
-        for e in entries {
-            match self.map.region_of(e.orig_addr) {
-                Region::Data => match mode {
-                    RecoveryMode::RefillLlc => {
-                        if let Some(victim) = self.hierarchy.restore_dirty(e.orig_addr, e.data) {
-                            t = self
-                                .secure_writeback(victim.addr, victim.data, t)
-                                .map_err(RecoveryError::Metadata)?;
-                        }
-                    }
-                    RecoveryMode::WriteThrough => {
-                        t = self
-                            .secure_writeback(e.orig_addr, e.data, t)
-                            .map_err(RecoveryError::Metadata)?;
-                    }
-                },
-                Region::Counter | Region::Mac | Region::Bmt(_) => {
-                    t = self
-                        .engine
-                        .restore_block(&mut self.platform, e.orig_addr, e.data, t)
-                        .map_err(RecoveryError::Metadata)?;
-                }
-                other => panic!("CHV entry for unexpected region {other:?}"),
-            }
-        }
-        Ok(restored)
     }
 }
 

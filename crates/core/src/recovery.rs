@@ -106,10 +106,31 @@ impl SecureEpdSystem {
     /// Recovers the system from the most recent draining episode with an
     /// explicit placement mode for data blocks.
     ///
+    /// The whole vault must verify: the first CHV group that fails is an
+    /// error and nothing is restored, even when the persistent
+    /// drain-open register says the episode was interrupted
+    /// ([`recover_after_crash`](SecureEpdSystem::recover_after_crash)
+    /// salvages a verified prefix instead).
+    ///
     /// # Errors
     ///
     /// See [`RecoveryError`].
     pub fn recover_with(&mut self, mode: RecoveryMode) -> Result<RecoveryReport, RecoveryError> {
+        self.recover_episode(mode, false)
+    }
+
+    /// The one recovery body behind
+    /// [`recover_with`](SecureEpdSystem::recover_with) and
+    /// [`recover_after_crash`](SecureEpdSystem::recover_after_crash):
+    /// restores the episode, arms the drain counters for the next one
+    /// and closes the drain-open register. With `salvage`, a Horus vault
+    /// walk keeps the verified prefix instead of failing (see
+    /// `recover_horus`).
+    pub(crate) fn recover_episode(
+        &mut self,
+        mode: RecoveryMode,
+        salvage: bool,
+    ) -> Result<RecoveryReport, RecoveryError> {
         let ep = self.episode.ok_or(RecoveryError::NoEpisode)?;
         self.platform.reset_timing();
         self.clock = Cycles::ZERO;
@@ -128,16 +149,22 @@ impl SecureEpdSystem {
                 restored = n;
             }
             DrainScheme::HorusSlm | DrainScheme::HorusDlm => {
-                restored = self.recover_horus(ep.scheme, ep.blocks, mode)?;
+                restored = self.recover_horus(ep.scheme, ep.blocks, mode, salvage)?;
                 self.counters.clear_ephemeral();
             }
         }
 
+        self.drain_open = false;
         self.episode = None;
         let cycles = self.platform.busy_until();
         if self.platform.probe_enabled() {
+            let phase = if salvage {
+                "recovery.crash"
+            } else {
+                "recovery"
+            };
             self.platform.record_phase(
-                &format!("recovery.{}", ep.scheme.name()),
+                &format!("{phase}.{}", ep.scheme.name()),
                 Cycles::ZERO,
                 cycles,
             );
@@ -153,11 +180,23 @@ impl SecureEpdSystem {
         })
     }
 
+    /// Walks the `n`-entry vault group by group, verifying and
+    /// decrypting every entry, then re-installs what verified and
+    /// returns how many blocks that was.
+    ///
+    /// A group that fails verification is an integrity error at its
+    /// 8-aligned base position, before anything is restored. With
+    /// `salvage` (an interrupted episode, whose torn or never-written
+    /// tail is expected to fail), the walk instead stops there and keeps
+    /// the verified prefix: SLM refines the failing group entry by
+    /// entry, since each member has its own MAC; a DLM group shares one
+    /// MAC and is kept whole or not at all.
     fn recover_horus(
         &mut self,
         scheme: DrainScheme,
         n: u64,
         mode: RecoveryMode,
+        salvage: bool,
     ) -> Result<u64, RecoveryError> {
         let layout = self.chv_layout().expect("Horus episode has a layout");
         let reader = ChvReader::new(layout, &self.config.chv_key(), &self.config.chv_mac_key());
@@ -184,7 +223,7 @@ impl SecureEpdSystem {
                         mac_reg = Some((mac_addr, b));
                     }
                     let preloaded = mac_reg.map(|(_, b)| b);
-                    reader.read_group_dlm_with_mac(
+                    reader.read_group_dlm(
                         &mut self.platform,
                         base,
                         len,
@@ -196,7 +235,24 @@ impl SecureEpdSystem {
                 _ => unreachable!("recover_horus called for a non-Horus scheme"),
             };
             t = rt;
-            entries.extend(es.ok_or(RecoveryError::ChvIntegrity { position: base })?);
+            match es {
+                Some(es) => entries.extend(es),
+                None if !salvage => return Err(RecoveryError::ChvIntegrity { position: base }),
+                None => {
+                    if scheme == DrainScheme::HorusSlm {
+                        for k in base..base + len as u64 {
+                            let (e, rt) =
+                                reader.read_entry_slm(&mut self.platform, k, dc_base + k, t);
+                            t = rt;
+                            match e {
+                                Some(e) => entries.push(e),
+                                None => break,
+                            }
+                        }
+                    }
+                    break;
+                }
+            }
             base += 8;
         }
 

@@ -233,12 +233,6 @@ impl SecureEpdSystem {
         self.engine.check_consistency(self.platform.nvm.device())
     }
 
-    /// Debug aid: mutable access to the metadata engine (tracing).
-    #[doc(hidden)]
-    pub fn debug_metadata_mut(&mut self) -> &mut MetadataEngine {
-        &mut self.engine
-    }
-
     // ----- run-time path ---------------------------------------------------
 
     fn assert_data_addr(&self, addr: u64) {

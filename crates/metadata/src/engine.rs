@@ -159,7 +159,6 @@ pub struct MetadataEngine {
     /// recovery needs (every true counter lies within `K` of the stored
     /// one).
     osiris_stop_loss: Option<u64>,
-    event_log: Option<Vec<String>>,
 }
 
 impl MetadataEngine {
@@ -204,7 +203,6 @@ impl MetadataEngine {
             wb_tree: horus_sim::FxHashMap::default(),
             wb_reinstall_gen: horus_sim::FxHashMap::default(),
             osiris_stop_loss: None,
-            event_log: None,
         }
     }
 
@@ -241,24 +239,6 @@ impl MetadataEngine {
     /// disaster-recovery path) as the on-chip root.
     pub fn install_rebuilt_root(&mut self, root: Mac64) {
         self.bmt.set_root(root);
-    }
-
-    /// Debug aid: start recording engine events.
-    #[doc(hidden)]
-    pub fn enable_trace(&mut self) {
-        self.event_log = Some(Vec::new());
-    }
-
-    /// Debug aid: stop recording and return the events.
-    #[doc(hidden)]
-    pub fn take_trace(&mut self) -> Vec<String> {
-        self.event_log.take().unwrap_or_default()
-    }
-
-    fn log(&mut self, msg: impl FnOnce() -> String) {
-        if let Some(log) = self.event_log.as_mut() {
-            log.push(msg());
-        }
     }
 
     /// The update scheme in force.
@@ -358,7 +338,6 @@ impl MetadataEngine {
                 // Victim-buffer hit: the node just left the trusted cache
                 // and its write-back is in flight — serve it trusted and
                 // reinstall it.
-                self.log(|| format!("wb-serve L{level}[{index}] {addr:#x}"));
                 *self.wb_reinstall_gen.entry(addr).or_insert(0) += 1;
                 // Reinstall dirty: the in-flight eviction's parent update
                 // will be cancelled, so this copy's own eventual eviction
@@ -394,9 +373,6 @@ impl MetadataEngine {
                     what: "tree-node",
                 });
             }
-            self.log(move || {
-                format!("fetched+verified L{level}[{index}] {addr:#x} mac={expected}")
-            });
             let spill = self.tree_cache.insert(addr, bytes, false);
             t = self.process_spill(p, spill, t)?;
             // The cascade may have evicted the node again; loop re-checks.
@@ -419,9 +395,6 @@ impl MetadataEngine {
         ready: Cycles,
     ) -> Result<Cycles, IntegrityError> {
         let addr = self.map.bmt_node_addr(level, index);
-        self.log(|| {
-            format!("update entry L{level}[{index}].{slot} = {child_mac} (addr {addr:#x})")
-        });
         let mut t = ready;
         let new_bytes = loop {
             let (bytes, ft) = self.fetch_tree_node(p, level, index, t)?;
@@ -434,7 +407,6 @@ impl MetadataEngine {
                 // the fresh entry with a stale MAC — cancel it; the
                 // reinstalled copy's own eviction owns the update.
                 if self.wb_reinstall_gen.get(&child_addr).copied().unwrap_or(0) != gen0 {
-                    self.log(|| format!("cancel stale update of L{level}[{index}].{slot} (child {child_addr:#x} reinstalled)"));
                     return Ok(t);
                 }
             }
@@ -477,7 +449,6 @@ impl MetadataEngine {
         if let Some(line) = spill.filter(|l| l.dirty) {
             match self.map.region_of(line.addr) {
                 Region::Counter => {
-                    self.log(|| format!("evict counter {:#x}", line.addr));
                     let c = p.nvm.write(line.addr, line.data, "counter_evict", t);
                     t = c.done;
                     if self.scheme == UpdateScheme::Lazy {
@@ -490,12 +461,6 @@ impl MetadataEngine {
                 }
                 Region::Bmt(level) => {
                     let mac = self.child_mac(&line.data);
-                    self.log(move || {
-                        format!(
-                            "evict tree L{level} {:#x} mac(bytes)={mac} dirty={}",
-                            line.addr, line.dirty
-                        )
-                    });
                     let gen0 = self.wb_reinstall_gen.get(&line.addr).copied().unwrap_or(0);
                     self.wb_tree.insert(line.addr, line.data);
                     let c = p.nvm.write(line.addr, line.data, "tree_evict", t);
@@ -506,9 +471,6 @@ impl MetadataEngine {
                         let mc = p.mac_op("update_tree", t);
                         t = mc.done;
                         let res = if level == self.bmt.levels() - 1 {
-                            self.log(|| {
-                                format!("set_root {mac} from evicted top {:#x}", line.addr)
-                            });
                             self.bmt.set_root(mac);
                             Ok(t)
                         } else {

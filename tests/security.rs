@@ -15,11 +15,27 @@ fn crashed(scheme: DrainScheme) -> SecureEpdSystem {
     sys
 }
 
-fn assert_detected(sys: &mut SecureEpdSystem, what: &str) {
-    match sys.recover() {
-        Err(RecoveryError::ChvIntegrity { .. }) => {}
-        other => panic!("{what}: expected ChvIntegrity, got {other:?}"),
-    }
+/// What the full vault walk promises on a complete episode: recovery
+/// fails at the 8-aligned base of the first group holding a tampered
+/// entry (`first`), before a single block is re-installed, and the
+/// episode stays pending.
+fn assert_detected(sys: &mut SecureEpdSystem, first: u64, what: &str) {
+    assert_eq!(
+        sys.recover().map(|r| r.restored_blocks),
+        Err(RecoveryError::ChvIntegrity {
+            position: first / 8 * 8
+        }),
+        "{what}"
+    );
+    assert_eq!(sys.hierarchy().dirty_unique(), 0, "{what}: data restored");
+    let meta = sys.metadata();
+    assert!(
+        meta.counter_cache().is_empty()
+            && meta.mac_cache().is_empty()
+            && meta.tree_cache().is_empty(),
+        "{what}: metadata restored"
+    );
+    assert!(sys.episode().is_some(), "{what}: episode consumed");
 }
 
 const BOTH: [DrainScheme; 2] = [DrainScheme::HorusSlm, DrainScheme::HorusDlm];
@@ -39,7 +55,7 @@ fn tampered_data_is_detected() {
         for entry in [0u64, 7, 33] {
             let mut sys = crashed(scheme);
             attack::tamper_data(&mut sys, entry);
-            assert_detected(&mut sys, &format!("{scheme} data entry {entry}"));
+            assert_detected(&mut sys, entry, &format!("{scheme} data entry {entry}"));
         }
     }
 }
@@ -50,7 +66,7 @@ fn tampered_address_is_detected() {
         for entry in [1u64, 8, 40] {
             let mut sys = crashed(scheme);
             attack::tamper_address(&mut sys, entry);
-            assert_detected(&mut sys, &format!("{scheme} address entry {entry}"));
+            assert_detected(&mut sys, entry, &format!("{scheme} address entry {entry}"));
         }
     }
 }
@@ -58,9 +74,11 @@ fn tampered_address_is_detected() {
 #[test]
 fn tampered_mac_is_detected() {
     for scheme in BOTH {
-        let mut sys = crashed(scheme);
-        attack::tamper_mac(&mut sys, 12);
-        assert_detected(&mut sys, &format!("{scheme} mac entry 12"));
+        for entry in [12u64, 63] {
+            let mut sys = crashed(scheme);
+            attack::tamper_mac(&mut sys, entry);
+            assert_detected(&mut sys, entry, &format!("{scheme} mac entry {entry}"));
+        }
     }
 }
 
@@ -71,7 +89,7 @@ fn full_splice_is_detected() {
     for scheme in BOTH {
         let mut sys = crashed(scheme);
         attack::splice_entries(&mut sys, 3, 19);
-        assert_detected(&mut sys, &format!("{scheme} splice 3<->19"));
+        assert_detected(&mut sys, 3, &format!("{scheme} splice 3<->19"));
     }
 }
 
@@ -82,7 +100,7 @@ fn splice_within_one_mac_block_is_detected() {
     for scheme in BOTH {
         let mut sys = crashed(scheme);
         attack::splice_entries(&mut sys, 0, 5);
-        assert_detected(&mut sys, &format!("{scheme} splice 0<->5"));
+        assert_detected(&mut sys, 0, &format!("{scheme} splice 0<->5"));
     }
 }
 
@@ -97,7 +115,7 @@ fn replayed_episode_is_detected() {
         }
         sys.crash_and_drain(scheme);
         attack::replay_chv(&mut sys, &snapshot);
-        assert_detected(&mut sys, &format!("{scheme} replay"));
+        assert_detected(&mut sys, 0, &format!("{scheme} replay"));
     }
 }
 
@@ -107,7 +125,7 @@ fn truncation_is_detected() {
         let mut sys = crashed(scheme);
         let n = sys.episode().expect("episode").blocks;
         attack::truncate_chv(&mut sys, n - 2);
-        assert_detected(&mut sys, &format!("{scheme} truncate"));
+        assert_detected(&mut sys, n - 2, &format!("{scheme} truncate"));
     }
 }
 
