@@ -1,4 +1,4 @@
-//! The bench-regression gate behind the `bench-gate` binary and CI job.
+//! The bench-regression gate behind `horus-cli bench-gate` and its CI job.
 //!
 //! [`measure_with`] runs the smoke-scale [`crate::repro_all`] plan and distils
 //! it into a [`BenchSnapshot`]: the per-scheme headline op counts
@@ -13,7 +13,7 @@
 //! throughput measured by timing un-memoized smoke episodes directly.
 //! Unlike the op counts it is *not* deterministic, so it gets its own
 //! gate, [`compare_throughput`], which flags only regressions (a faster
-//! runner never fails) at a generous tolerance (the CI job uses 25%) to
+//! runner never fails) at a generous tolerance ([`THROUGHPUT_TOLERANCE`]) to
 //! absorb runner noise. A real hot-path regression — an allocation on
 //! the per-op path, a hash-map swap, an accidental debug build — shows
 //! up as a multiple, not a percentage, so the wide band still catches
@@ -54,7 +54,7 @@ pub struct SchemeOps {
 /// One headline claim's measured value.
 #[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct HeadlineValue {
-    /// The claim, as worded in the `repro-all` headline table.
+    /// The claim, as worded in the `EXPERIMENTS.md` headline table.
     pub claim: String,
     /// The measured value at smoke scale.
     pub measured: f64,
@@ -114,7 +114,7 @@ impl HostProfileSection {
 pub struct BenchSnapshot {
     /// Per-scheme op counts, in `DrainScheme::ALL` order.
     pub schemes: Vec<SchemeOps>,
-    /// Headline-claim measurements, in `repro-all` order.
+    /// Headline-claim measurements, in headline-table order.
     pub checks: Vec<HeadlineValue>,
     /// Simulator throughput, gated (regressions only) by
     /// [`compare_throughput`] — never by [`compare`]. Empty for
@@ -297,6 +297,22 @@ pub fn measure_throughput(plan: &ReproPlan, sets: u32, threads: usize) -> Vec<Th
         },
     ]
 }
+
+/// The committed baseline the gate compares against, relative to the
+/// working directory (the repository root).
+pub const BASELINE: &str = "BENCH_smoke.json";
+
+/// Relative tolerance on the deterministic op counts and claim values
+/// ([`compare`]).
+pub const COUNT_TOLERANCE: f64 = 0.02;
+
+/// Regressions-only tolerance on the `ops_per_sec` section
+/// ([`compare_throughput`]).
+pub const THROUGHPUT_TOLERANCE: f64 = 0.25;
+
+/// Default regressions-only tolerance on the `host_profile` section
+/// ([`compare_host_profile`]).
+pub const HOST_PROFILE_TOLERANCE: f64 = 0.5;
 
 /// Runs the smoke plan on `harness` and snapshots its headline numbers,
 /// rating throughput on a pool of `threads` workers (`bench-gate` passes

@@ -1,5 +1,5 @@
-//! ASCII bar charts, so the `repro-*` binaries can render the paper's
-//! figures (which are all bar charts) directly in the terminal.
+//! ASCII bar charts, so `horus-cli repro` can render the paper's
+//! figures (which are all bar charts) as text in `EXPERIMENTS.md`.
 
 /// Renders horizontal bars for `(label, value)` pairs, scaled to
 /// `width` characters, with the numeric value appended.

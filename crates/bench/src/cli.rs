@@ -1,13 +1,13 @@
-//! Shared command-line plumbing for the `repro-*` binaries and
-//! `horus-cli sweep`/`crash-sweep`.
+//! Shared command-line plumbing for the `horus-cli` subcommands that
+//! run a harness: `sweep`, `repro`, `bench-gate` and `crash-sweep`.
 //!
-//! Every reproduction binary accepts the same orchestration flags:
+//! They share one set of orchestration flags:
 //!
 //! ```text
 //! --jobs N          worker threads (default: available parallelism)
 //! --cache-dir DIR   result-cache directory (default: target/horus-cache)
 //! --no-cache        bypass the result cache (always re-simulate)
-//! --quick           shrink the sweeps (binaries that sweep)
+//! --quick           shrink the sweeps (`repro`, `crash-sweep`)
 //! --metrics-addr A  serve live Prometheus text on A (e.g. 127.0.0.1:9464)
 //! --run-dir DIR     write the run's artifacts into DIR (below)
 //! --service ADDR    submit sweeps to the `horus-cli serve` daemon at ADDR
@@ -21,9 +21,9 @@
 //! lifecycle spans, queued → leased → executing → pushed → committed),
 //! `logs.ndjson` (every accepted structured-log record),
 //! `progress.ndjson` (the harness's progress events) and
-//! `drain-trace.json` (a Chrome trace of one probed drain, shrunk to a
-//! 2 MB LLC under `--quick`). A file appears only when its signal was
-//! produced.
+//! `drain-trace.json` (`repro` only: a Chrome trace of one probed
+//! drain, shrunk to a 2 MB LLC under `--quick`). A file appears only
+//! when its signal was produced.
 //!
 //! `--metrics-addr` and `--run-dir` drive an [`ObsRuntime`]: build it
 //! once with [`HarnessArgs::obs_or_exit`], construct the harness through
@@ -31,16 +31,15 @@
 //! land in the session, and call [`ObsRuntime::finish_or_exit`] after
 //! the run to drain per-job profiles and write the run directory. With
 //! neither flag given the runtime is inert, nothing is written, and the
-//! binary's outputs are byte-identical to the uninstrumented ones; with
-//! them, stdout is still byte-identical.
+//! command's outputs are byte-identical to the uninstrumented ones;
+//! with them, stdout is still byte-identical.
 //!
-//! A binary with flags of its own composes them onto the shared set via
-//! [`HarnessArgs::parse_from_with`] — its handler sees every flag
+//! A command with flags of its own composes them onto the shared set
+//! via [`HarnessArgs::parse_from_with`] — its handler sees every flag
 //! first, so it may claim a shared spelling for itself without forking
 //! the parser. A command that does not read some shared flags refuses
 //! them by name through [`HarnessArgs::parse_refusing`] instead of
-//! parsing and ignoring them; the binaries that run no harness sweep
-//! refuse [`SWEEP_ONLY_FLAGS`].
+//! parsing and ignoring them.
 
 use horus_core::{DrainScheme, SystemConfig};
 use horus_harness::{Harness, HarnessOptions, JobSpec, ProgressMode, SweepBackend};
@@ -51,7 +50,7 @@ use horus_workload::FillPattern;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// The harness-related flags common to all `repro-*` binaries.
+/// The harness-related flags shared by every harness-running command.
 #[derive(Debug, Clone, Default)]
 pub struct HarnessArgs {
     /// `--jobs N`.
@@ -79,35 +78,18 @@ pub const HARNESS_USAGE: &str = "[--jobs N] [--cache-dir DIR] [--no-cache] [--qu
      [--metrics-addr ADDR] [--run-dir DIR] [--service ADDR] [--service-tenant NAME] \
      [--log-level LVL]";
 
-/// The shared flags only a harness sweep reads. A binary that runs its
-/// episodes inline, and at most writes the `--run-dir` drain trace,
-/// refuses them.
-pub const SWEEP_ONLY_FLAGS: &[&str] = &[
-    "--jobs",
-    "--cache-dir",
-    "--no-cache",
-    "--metrics-addr",
-    "--service",
-    "--service-tenant",
-];
-
 impl HarnessArgs {
-    /// Parses the process arguments; unknown flags are an error.
-    pub fn parse() -> Result<Self, String> {
-        Self::parse_from(std::env::args().skip(1))
-    }
-
-    /// Parses an explicit argument iterator (testable).
+    /// Parses an argument iterator; unknown flags are an error.
     pub fn parse_from(argv: impl Iterator<Item = String>) -> Result<Self, String> {
         Self::parse_from_with(argv, |_, _| Ok(false))
     }
 
-    /// [`parse_from`](Self::parse_from) with binary-specific flags
+    /// [`parse_from`](Self::parse_from) with command-specific flags
     /// composed in. `extra` is offered every flag *before* the shared
     /// parser; it returns `Ok(true)` after consuming one (pulling any
     /// value from the iterator itself), `Ok(false)` to pass it through
     /// to the shared set, or `Err` to reject it or its value. Because
-    /// `extra` runs first, a binary may claim a shared spelling for
+    /// `extra` runs first, a command may claim a shared spelling for
     /// itself.
     pub fn parse_from_with(
         argv: impl Iterator<Item = String>,
@@ -185,7 +167,7 @@ impl HarnessArgs {
     }
 
     /// Builds the harness these flags describe, with no telemetry
-    /// attached. Binaries that honor the obs flags should use
+    /// attached. Commands that honor the obs flags should use
     /// [`Self::harness_with`] instead.
     #[must_use]
     pub fn harness(&self) -> Harness {
@@ -215,7 +197,7 @@ impl HarnessArgs {
     /// The remote execution backend these flags select: a
     /// `horus-cli serve` daemon (`--service`, optionally submitting as
     /// `--service-tenant`), or none — the local pool. The backend keeps
-    /// the harness's determinism contract, so a binary's output is
+    /// the harness's determinism contract, so a command's output is
     /// byte-identical wherever its sweeps ran.
     #[must_use]
     pub fn backend(&self) -> Option<Arc<dyn SweepBackend>> {
@@ -312,66 +294,17 @@ impl HarnessArgs {
         );
         Ok(())
     }
-
-    /// [`write_trace_if_requested`](Self::write_trace_if_requested),
-    /// exiting the process on I/O failure (for binary `main`s).
-    pub fn trace_or_exit(&self, cfg: &SystemConfig, scheme: DrainScheme) {
-        if let Err(e) = self.write_trace_if_requested(cfg, scheme) {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    /// Parses the process arguments and exits with usage on error.
-    #[must_use]
-    pub fn parse_or_exit() -> Self {
-        Self::or_exit(Self::parse(), HARNESS_USAGE)
-    }
-
-    /// [`parse_from_with`](Self::parse_from_with) over the process
-    /// arguments, exiting with the combined usage (`extra_usage` then
-    /// the shared flags) on error.
-    #[must_use]
-    pub fn parse_or_exit_with(
-        extra_usage: &str,
-        extra: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
-    ) -> Self {
-        Self::or_exit(
-            Self::parse_from_with(std::env::args().skip(1), extra),
-            &format!("{extra_usage} {HARNESS_USAGE}"),
-        )
-    }
-
-    /// [`parse_refusing`](Self::parse_refusing) over the process
-    /// arguments of binary `cmd`, which has no flags of its own; exits
-    /// with usage on error, before the binary does any work.
-    #[must_use]
-    pub fn parse_or_exit_refusing(cmd: &str, unread: &[&str]) -> Self {
-        Self::or_exit(
-            Self::parse_refusing(std::env::args().skip(1), cmd, unread, |_, _| Ok(false)),
-            &format!("{cmd} {HARNESS_USAGE}"),
-        )
-    }
-
-    /// The parsed flags, or exit status 2 after printing the error and
-    /// `usage`.
-    fn or_exit(parsed: Result<Self, String>, usage: &str) -> Self {
-        parsed.unwrap_or_else(|e| {
-            eprintln!("error: {e}\nusage: {usage}");
-            std::process::exit(2);
-        })
-    }
 }
 
 /// One run's telemetry, as requested on the command line: an
 /// [`ObsSession`] when `--metrics-addr` or `--run-dir` was given, inert
 /// otherwise.
 ///
-/// Lifecycle in a binary's `main`:
+/// Lifecycle in a command:
 ///
 /// ```no_run
 /// # use horus_bench::cli::HarnessArgs;
-/// let args = HarnessArgs::parse_or_exit();
+/// let args = HarnessArgs::parse_from(std::env::args().skip(2)).expect("flags");
 /// let obs = args.obs_or_exit();
 /// let harness = args.harness_with(&obs);
 /// // ... run the sweep ...
@@ -539,7 +472,7 @@ mod tests {
 
     #[test]
     fn extra_handler_can_claim_a_shared_spelling() {
-        // A binary may own a shared spelling (it sees the flag first).
+        // A command may own a shared spelling (it sees the flag first).
         let mut own_quick = false;
         let a = HarnessArgs::parse_from_with(
             ["--quick", "--jobs", "3"].iter().map(|s| (*s).to_owned()),
@@ -558,18 +491,19 @@ mod tests {
 
     #[test]
     fn refused_shared_flags_are_named_and_others_pass_through() {
+        const UNREAD: [&str; 4] = ["--cache-dir", "--no-cache", "--service", "--service-tenant"];
         let refuse = |argv: &[&str]| {
             HarnessArgs::parse_refusing(
                 argv.iter().map(|s| (*s).to_owned()),
-                "repro-wear",
-                SWEEP_ONLY_FLAGS,
+                "crash-sweep",
+                &UNREAD,
                 |_, _| Ok(false),
             )
         };
-        for flag in SWEEP_ONLY_FLAGS {
+        for flag in UNREAD {
             assert_eq!(
                 refuse(&[flag, "v"]).unwrap_err(),
-                format!("repro-wear does not take '{flag}'")
+                format!("crash-sweep does not take '{flag}'")
             );
         }
         let a = refuse(&["--quick", "--run-dir", "d", "--log-level", "warn"]).expect("valid");
@@ -654,7 +588,7 @@ mod tests {
             .is_active());
     }
 
-    /// What a `repro-*` main prints for a small Figure 6, and its run
+    /// What a harness command prints for a small Figure 6, and its run
     /// directory's file names, for `argv`.
     fn figure6_run(argv: &[&str]) -> (String, Vec<String>) {
         let a = parse(argv).expect("valid");
@@ -662,7 +596,8 @@ mod tests {
         let h = a.harness_with(&obs);
         let cfg = SystemConfig::small_test();
         let stdout = crate::figures::figure6(&h, &cfg).render();
-        a.trace_or_exit(&cfg, DrainScheme::HorusSlm);
+        a.write_trace_if_requested(&cfg, DrainScheme::HorusSlm)
+            .expect("trace written");
         obs.finish_or_exit(&h);
         let mut files: Vec<String> = a
             .run_dir

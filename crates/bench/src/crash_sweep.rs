@@ -128,7 +128,8 @@ impl CrashMatrix {
         self.horus_silent_corruptions() + self.panics
     }
 
-    /// The fixed-width report table (the `repro-tab2` style).
+    /// The fixed-width report table (the style of `EXPERIMENTS.md`'s
+    /// tables).
     #[must_use]
     pub fn render(&self) -> String {
         let rows: Vec<Vec<String>> = self
@@ -165,7 +166,8 @@ impl CrashMatrix {
 }
 
 /// The canonical dirty system every crash point starts from: the
-/// repro-faults fill (64 sparse lines) over [`SystemConfig::small_test`].
+/// fault-injection ablation's fill (64 sparse lines) over
+/// [`SystemConfig::small_test`].
 fn prepared_system(scheme: DrainScheme) -> SecureEpdSystem {
     let mut sys = SecureEpdSystem::for_scheme(SystemConfig::small_test(), scheme);
     for i in 0..64u64 {

@@ -4,8 +4,8 @@
 //! [`horus_harness::Harness`] as [`JobSpec`]s — so every driver gets
 //! parallelism, panic isolation, and result memoization for free — and
 //! returns a result struct that knows how to render itself as the
-//! rows/series the paper reports. The `repro-*` binaries are thin
-//! wrappers; `repro-all` composes everything into `EXPERIMENTS.md`.
+//! rows/series the paper reports. [`crate::repro_all`] composes them
+//! into `EXPERIMENTS.md` (`horus-cli repro`).
 //!
 //! Drivers that sweep the LLC take sizes in **bytes** and derive each
 //! point from a base configuration, so the same pipeline runs at the

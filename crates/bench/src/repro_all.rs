@@ -1,13 +1,13 @@
-//! The full-reproduction pipeline behind the `repro-all` binary.
+//! The full-reproduction pipeline behind `horus-cli repro`.
 //!
-//! Living in the library (rather than the binary) so the integration
+//! Living in the library (rather than the command) so the integration
 //! tests can drive it: the acceptance contract is that the generated
 //! `EXPERIMENTS.md` markdown is **byte-identical** for any `--jobs`
 //! count, and that an immediately repeated invocation against a warm
 //! result cache re-executes zero simulations. To keep that true,
 //! nothing nondeterministic — wall-clock time, worker counts, cache-hit
 //! ratios — may be rendered into the markdown; such accounting goes to
-//! stderr in the binary instead.
+//! stderr in the command instead.
 
 use crate::figures;
 use horus_core::{DrainScheme, SystemConfig};
@@ -15,7 +15,7 @@ use horus_harness::Harness;
 use std::fmt::Write as _;
 
 /// Which experiment points to run: the paper's Table I scale for the
-/// binary, a miniature scale for tests exercising the same pipeline.
+/// command, a miniature scale for tests exercising the same pipeline.
 #[derive(Debug, Clone)]
 pub struct ReproPlan {
     /// Base configuration every experiment derives from.
@@ -177,7 +177,7 @@ pub struct ReproAll {
     /// The `EXPERIMENTS.md` content (deterministic — identical for any
     /// worker count and for cached vs fresh runs).
     pub markdown: String,
-    /// The headline-claim checks (rendered in the markdown; the binary
+    /// The headline-claim checks (rendered in the markdown; the command
     /// exits non-zero when any is out of tolerance).
     pub checks: Vec<ClaimCheck>,
 }
@@ -203,7 +203,7 @@ pub fn run(harness: &Harness, plan: &ReproPlan) -> ReproAll {
     let _ = writeln!(
         md,
         "# EXPERIMENTS — paper vs. measured\n\n\
-         Generated by `cargo run --release -p horus-bench --bin repro-all`{}.\n\n\
+         Generated by `cargo run --release --bin horus-cli -- repro`{}.\n\n\
          Every table/figure of the Horus paper (MICRO 2022) reproduced on this\n\
          repository's from-scratch simulator. Absolute numbers differ from the\n\
          paper (gem5 + McPAT testbed vs. this discrete-event model); the claims\n\
@@ -316,8 +316,8 @@ pub fn run(harness: &Harness, plan: &ReproPlan) -> ReproAll {
     let _ = writeln!(
         md,
         "## Headline claims\n\n\
-         `repro-all` exits non-zero when a measured value leaves its\n\
-         tolerance band.\n\n\
+         `horus-cli repro` exits non-zero when a measured value leaves\n\
+         its tolerance band.\n\n\
          | claim | paper | measured | tolerance | within |\n|---|---|---|---|---|"
     );
     for c in &checks {
@@ -356,8 +356,8 @@ pub fn run(harness: &Harness, plan: &ReproPlan) -> ReproAll {
          `drain.metadata`, `drain.finish`) and hierarchy-walk markers.\n\
          Timestamps and durations are simulated cycles; each slice\n\
          carries its `ready` time and queueing `wait` in its args.\n\n\
-         Every `repro-*` binary given `--run-dir DIR` records the\n\
-         drain behind its headline number the same way, as\n\
+         `horus-cli repro --run-dir DIR` records the Horus-SLM drain\n\
+         behind the headline numbers the same way, as\n\
          `DIR/drain-trace.json`. In this\n\
          model every scheme is ultimately PCM-bank-bound — Horus\n\
          because 16-way bank parallelism is the only wall left, the\n\
@@ -376,7 +376,7 @@ pub fn run(harness: &Harness, plan: &ReproPlan) -> ReproAll {
 }
 
 /// Hand-written epilogue sections of `EXPERIMENTS.md`. They live here,
-/// not only in the committed file, so a `repro-all` regeneration
+/// not only in the committed file, so a `horus-cli repro` regeneration
 /// preserves them instead of truncating the document at the generated
 /// tables.
 const EPILOGUE: &str = r#"
@@ -424,16 +424,16 @@ the loss window Horus still restores a verified prefix of the vault
 (63 of 64 lines at the best sampled cut above) where the baselines
 restore nothing.
 
-`bench-gate` (CI: `bench regression gate`) re-measures the smoke
-plan's headline op counts against the committed `BENCH_smoke.json`
-baseline with 2% tolerance — refresh it with
-`cargo run --release -p horus-bench --bin bench-gate -- --update` when
-a model change legitimately moves the numbers.
+`horus-cli bench-gate` (CI: `bench regression gate`) re-measures the
+smoke plan's headline op counts against the committed
+`BENCH_smoke.json` baseline with 2% tolerance — refresh it with
+`cargo run --release --bin horus-cli -- bench-gate --update` when a
+model change legitimately moves the numbers.
 
 ## Watching the fleet live — Prometheus scrape and run directory
 
-Every `repro-*` binary and `horus-cli sweep`/`crash-sweep` can export
-fleet telemetry while it runs (`horus-obs`; see ARCHITECTURE.md,
+`horus-cli sweep`, `repro`, `bench-gate` and `crash-sweep` can export
+fleet telemetry while they run (`horus-obs`; see ARCHITECTURE.md,
 "Fleet observability"). Start the crash sweep with a metrics
 endpoint and a run directory:
 
@@ -473,7 +473,7 @@ goes, the harness appends one progress event per line to
 `DIR/progress.ndjson` (jobs done/total, ETA, per-job cycles and
 memory ops; `tail -f` it) and every structured-log record lands in
 `DIR/logs.ndjson`; a sweep that stamps job spans writes
-`DIR/spans.json`, and a `repro-*` binary adds the probed drain as
+`DIR/spans.json`, and `repro` adds the probed drain as
 `DIR/drain-trace.json`. A file appears only when its signal was
 produced. The summary's counters match the final scrape, and the
 deterministic subset of the scrape — everything except host/timing
@@ -528,8 +528,8 @@ distributed run and you get zero bytes of difference (the CI
 `fleet-smoke` job does precisely this on every push). Re-submit the
 same sweep and the service answers at once from the committed plan,
 without any worker seeing a job. The same `--service` flag works on
-every `repro-*` binary, so `repro-all --service ADDR` distributes the
-paper's full figure set. Leave out `--jobs 0` and the service's own
+`repro`, so `horus-cli repro --service ADDR` distributes the paper's
+full figure set. Leave out `--jobs 0` and the service's own
 runners execute alongside the workers, leasing from the same queue.
 `curl -X POST http://127.0.0.1:9470/v1/shutdown` drains the service;
 the workers hear it is done and exit.
@@ -596,7 +596,7 @@ $ curl -s http://127.0.0.1:9470/logs | head -2
 human-readable mirror, and with `--run-dir` every accepted record is
 also appended, in the ring's exact NDJSON form, to
 `fleet-run/logs.ndjson`. Local sweeps trace the same way without any
-service: `--run-dir` on any `repro-*` binary or `horus-cli sweep`
+service: `--run-dir` on `horus-cli sweep` or `repro`
 stamps the five stages on the local pool (workers named `local-N`)
 and writes the same Perfetto timeline at exit. Spans are
 observe-only: with the flags off, outputs
@@ -623,7 +623,7 @@ regressions only) catches sustained throughput drops; refresh it
 together with the op-count baseline:
 
 ```
-cargo run --release -p horus-bench --bin bench-gate -- --update
+cargo run --release --bin horus-cli -- bench-gate --update
 ```
 
 — the refreshed `BENCH_smoke.json` bakes in *your machine's* rate, so
@@ -644,7 +644,7 @@ now measured from a number the tree no longer produces, and a later
 regression could hide inside the headroom. Re-baseline in the same PR
 as the speedup:
 
-1. `cargo run --release -p horus-bench --bin bench-gate -- --update`
+1. `cargo run --release --bin horus-cli -- bench-gate --update`
    on a quiet machine.
 2. Check the `BENCH_smoke.json` diff: **only** `wall_seconds`,
    `host_profile`, and `ops_per_sec` may move. If any scheme's op
@@ -796,7 +796,8 @@ mod tests {
     #[test]
     fn committed_experiments_md_ends_with_the_epilogue() {
         // Every hand-written section of the committed document must live
-        // in EPILOGUE, or the next `repro-all` regeneration deletes it.
+        // in EPILOGUE, or the next `horus-cli repro` regeneration
+        // deletes it.
         let committed = include_str!("../../../EXPERIMENTS.md");
         assert!(
             committed.ends_with(EPILOGUE),

@@ -1,4 +1,4 @@
-//! Minimal fixed-width text tables for the repro binaries.
+//! Minimal fixed-width text tables for the reports and ablations.
 
 /// Renders rows as a fixed-width table with a header row.
 #[must_use]

@@ -164,8 +164,8 @@ impl Default for SystemConfig {
     }
 }
 
-/// A serializable summary of the configuration, printed by the
-/// `repro-config` harness to reproduce Table I.
+/// A serializable summary of the configuration, printed by
+/// `horus-cli config` to reproduce Table I.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct ConfigSummary {
     /// L1/L2/LLC sizes in bytes.

@@ -220,7 +220,13 @@ impl SecureEpdSystem {
         if scheme.is_horus() {
             // The slot was consumed even if the episode never finished.
             self.episodes_drained += 1;
-            self.drain_open = !completed;
+        }
+        // A completed drain of any scheme closes the register; a cut
+        // Horus drain opens it.
+        if completed {
+            self.drain_open = false;
+        } else if scheme.is_horus() {
+            self.drain_open = true;
         }
         self.episode = Some(Episode {
             scheme,
@@ -580,6 +586,37 @@ mod tests {
         };
         let r = run_crash_point(&mut s, DrainScheme::HorusSlm, spec, RecoveryMode::RefillLlc);
         assert_ne!(r.verdict, CrashVerdict::SilentCorruption, "{}", r.detail);
+    }
+
+    #[test]
+    fn completed_baseline_drain_closes_a_register_left_by_horus() {
+        let mut s = SecureEpdSystem::new(SystemConfig::small_test());
+        for i in 0..48u64 {
+            s.write(i * 16448, [i as u8 + 1; 64]).expect("ok");
+        }
+        let mut reference = s.clone();
+        let planned = reference.crash_and_drain(DrainScheme::HorusSlm).cycles;
+        s.crash_and_drain_interrupted(DrainScheme::HorusSlm, CrashSpec::at(planned / 2));
+        assert!(s.drain_open());
+        // Recovery is skipped; new activity, then a clean Base-LU drain.
+        for i in 0..16u64 {
+            s.write(i * 16448 + 64, [0xAB; 64]).expect("ok");
+        }
+        let mut cut_late = s.clone();
+        let late =
+            cut_late.crash_and_drain_interrupted(DrainScheme::BaseLazy, CrashSpec::at(u64::MAX));
+        assert!(
+            late.completed && !cut_late.drain_open(),
+            "a baseline drain cut after it completes closes it"
+        );
+        let dr = s.crash_and_drain(DrainScheme::BaseLazy);
+        assert!(!s.drain_open(), "a completed baseline drain closes it");
+        let rec = s.recover_after_crash(RecoveryMode::RefillLlc).expect("ok");
+        assert!(rec.complete, "the Base-LU episode is reported whole");
+        assert_eq!(rec.verified_prefix, dr.flushed_blocks + dr.metadata_blocks);
+        for i in 0..16u64 {
+            assert_eq!(s.read(i * 16448 + 64), Ok([0xAB; 64]), "line {i}");
+        }
     }
 
     #[test]

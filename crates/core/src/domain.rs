@@ -19,7 +19,7 @@
 //!
 //! [`SecureEpdSystem::persist`](crate::SecureEpdSystem::persist) gives
 //! all three a uniform durable-store API so their run-time cost and
-//! crash-time work can be compared (`repro-domains`).
+//! crash-time work can be compared (`horus-cli ablation domains`).
 
 use crate::system::SecureEpdSystem;
 use horus_metadata::IntegrityError;

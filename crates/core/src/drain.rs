@@ -139,11 +139,11 @@ impl SecureEpdSystem {
 
         if scheme.is_horus() {
             self.episodes_drained += 1;
-            // A completed drain closes the drain-open register, even one
-            // an earlier interrupted episode left set: this episode
-            // supersedes that one.
-            self.drain_open = false;
         }
+        // A completed drain of any scheme closes the drain-open
+        // register, even one an earlier interrupted episode left set:
+        // this episode supersedes that one.
+        self.drain_open = false;
         self.episode = Some(Episode {
             scheme,
             blocks: flushed + metadata_blocks,

@@ -20,7 +20,7 @@
 //! * [`rundir`] — the `--run-dir DIR` layout: the artifact file names
 //!   and the lazily created NDJSON streams.
 //! * [`summary`] — the deterministic end-of-run `summary.json` artifact
-//!   that CI uploads and `bench-gate` folds into its baseline.
+//!   that CI uploads and `horus-cli bench-gate` folds into its baseline.
 //! * [`span`] — per-job lifecycle spans
 //!   (queued → leased → executing → pushed → committed) assembled into a
 //!   cross-host Chrome-trace timeline (`spans.json`).

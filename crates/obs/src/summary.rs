@@ -3,8 +3,8 @@
 //! The summary freezes everything the scrape endpoint could have told you,
 //! plus the per-job host profiles: a [`HostProfile`] for the whole process,
 //! every [`JobProfile`], and the full registry [`Snapshot`]. CI uploads it;
-//! `bench-gate` carries the host-profile numbers in its own snapshot format
-//! so they become diffable against a committed baseline.
+//! `horus-cli bench-gate` carries the host-profile numbers in its own
+//! snapshot format so they become diffable against a committed baseline.
 //!
 //! The encoder is hand-laid (strings go through
 //! `serde_json::write_str`) and deterministic: keys are emitted in a

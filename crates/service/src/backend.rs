@@ -2,7 +2,7 @@
 //! `horus-cli serve` instance.
 //!
 //! This closes the loop between the batch tools and the daemon: any
-//! harness consumer (the `repro-*` binaries, `horus-cli sweep`) can
+//! harness consumer (`horus-cli sweep`, `repro`, `bench-gate`) can
 //! point `--service HOST:PORT` at a shared service and its plans ride
 //! the daemon's admission control, dedup, and result cache — identical
 //! submissions from different people execute once. The determinism

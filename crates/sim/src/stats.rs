@@ -512,23 +512,6 @@ impl Histogram {
         &self.buckets
     }
 
-    /// An upper bound on the `q`-quantile (0.0..=1.0): the inclusive
-    /// upper edge `2^i` of the power-of-two bucket containing that rank,
-    /// or `None` if empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    ///
-    /// ```
-    /// use horus_sim::Histogram;
-    /// let mut h = Histogram::new();
-    /// for v in [1u64, 2, 3, 100] {
-    ///     h.record(v);
-    /// }
-    /// assert_eq!(h.quantile_bound(0.5), Some(2)); // rank 2 is the sample 2
-    /// assert_eq!(h.quantile_bound(1.0), Some(128)); // 100 in (64, 128]
-    /// ```
     /// Merges another histogram's samples into this one.
     ///
     /// Bucket counts add (saturating), as do `count` and `sum`; min/max
@@ -567,28 +550,39 @@ impl Histogram {
     }
 
     /// An upper bound on the `q`-quantile sample: the inclusive upper
-    /// edge of the power-of-two bucket the quantile's rank falls in
-    /// (tightened to the observed maximum for the last bucket).
-    /// `None` when nothing has been recorded.
+    /// edge `2^i` of the power-of-two bucket the quantile's rank falls
+    /// in, clamped to the recorded maximum (which bounds every sample,
+    /// so a quantile never reads above the maximum). `None` when nothing
+    /// has been recorded.
     ///
     /// # Panics
     ///
     /// Panics when `q` is outside `[0, 1]`.
+    ///
+    /// ```
+    /// use horus_sim::Histogram;
+    /// let mut h = Histogram::new();
+    /// for v in [1u64, 2, 3, 100] {
+    ///     h.record(v);
+    /// }
+    /// assert_eq!(h.quantile_bound(0.5), Some(2)); // rank 2 is the sample 2
+    /// assert_eq!(h.quantile_bound(1.0), Some(100)); // (64, 128], clamped to max
+    /// ```
     #[must_use]
     pub fn quantile_bound(&self, q: f64) -> Option<u64> {
         assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        if self.count == 0 {
-            return None;
-        }
+        let max = self.max?;
         let rank = ((q * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= rank {
-                return Some(1u64 << i);
-            }
-        }
-        Some(1u64 << self.buckets.len())
+        let edge = self
+            .buckets
+            .iter()
+            .position(|b| {
+                seen += b;
+                seen >= rank
+            })
+            .unwrap_or(self.buckets.len());
+        Some(1u64.checked_shl(edge as u32).unwrap_or(u64::MAX).min(max))
     }
 }
 
@@ -914,7 +908,8 @@ mod quantile_tests {
         // The 50th percentile of 1..=1000 is ~500, bucketed into [512, 1024).
         assert_eq!(h.quantile_bound(0.5), Some(512));
         assert_eq!(h.quantile_bound(0.0), Some(1));
-        assert_eq!(h.quantile_bound(1.0), Some(1024));
+        // The top bucket's edge 1024 is clamped to the recorded max.
+        assert_eq!(h.quantile_bound(1.0), Some(1000));
     }
 
     #[test]

@@ -580,6 +580,34 @@ mod tests {
     }
 
     #[test]
+    fn usage_wait_percentiles_never_exceed_the_max() {
+        // aes waits 1, 2, 6, 6: the p99 rank lands in the (4, 8] bucket,
+        // whose edge 8 is above every recorded wait.
+        let mut events = vec![
+            ev("aes", "o", 0, 1, 41),
+            ev("aes", "o", 40, 42, 82),
+            ev("aes", "o", 80, 86, 126),
+            ev("aes", "o", 120, 126, 166),
+        ];
+        events.extend((0..20).map(|i| ev("hash", "m", i * 200, i * 200 + 34, i * 200 + 194)));
+        events.push(ev("pcm[0]", "w", 0, 0, 2000));
+        let usage = resource_usage(&events, 4000);
+        assert_eq!(usage.len(), 3);
+        for u in &usage {
+            assert!(
+                u.queue_p50 <= u.queue_p99 && u.queue_p99 <= u.queue_max,
+                "{}: p50 {} p99 {} max {}",
+                u.track,
+                u.queue_p50,
+                u.queue_p99,
+                u.queue_max
+            );
+        }
+        assert_eq!((usage[0].queue_p99, usage[0].queue_max), (6, 6));
+        assert_eq!((usage[1].queue_p50, usage[1].queue_max), (34, 34));
+    }
+
+    #[test]
     fn usage_orders_tracks_by_name() {
         let events = vec![
             ev("pcm[1]", "w", 0, 0, 10),

@@ -1,4 +1,5 @@
-//! `horus-cli` — drive the secure-EPD simulator from the command line.
+//! `horus-cli` — drive the secure-EPD simulator from the command line,
+//! and reproduce, gate and ablate the paper.
 //!
 //! ```text
 //! horus-cli config
@@ -6,6 +7,9 @@
 //! horus-cli recover --scheme horus-dlm [--llc-mb 8] [--write-through]
 //! horus-cli attack  --kind splice [--scheme horus-slm]
 //! horus-cli sweep   [--llc 8,16,32] [--json] [--jobs N] [--cache-dir DIR] [--no-cache] [--service ADDR] [--run-dir DIR]
+//! horus-cli repro   [--quick] [--jobs N] [--cache-dir DIR] [--no-cache] [--service ADDR] [--run-dir DIR]
+//! horus-cli bench-gate [--update] [--out FILE] [--host-profile-tolerance F] [--gate-host-profile] [--jobs N]
+//! horus-cli ablation wear|metacache|runtime|domains|faults
 //! horus-cli crash-sweep [--quick] [--points N] [--model torn|stale|garbled] [--jobs N] [--out FILE] [--json] [--run-dir DIR]
 //! horus-cli serve [--addr 127.0.0.1:9900] [--tenant-config FILE] [--jobs N] [--cache-dir DIR] [--run-dir DIR]
 //! horus-cli fleet-worker --connect HOST:PORT [--jobs N] [--name NAME]
@@ -19,24 +23,36 @@
 //! `fleet-worker`s (on any host) execute them; the output is
 //! byte-identical either way.
 //!
+//! `repro` runs every table and figure of the paper on the same pool
+//! and cache, writes `EXPERIMENTS.md` to the working directory (and
+//! prints it), and exits nonzero when a headline claim leaves its
+//! tolerance band. `bench-gate` measures the smoke plan and diffs it
+//! against the committed `BENCH_smoke.json` (`--update` rewrites it).
+//! `ablation NAME` prints one of the experiments the paper argues from
+//! but does not plot; ablations run inline and are not cached.
+//!
 //! `crash-sweep` interrupts every scheme's drain at sampled cycles
 //! (phase boundaries ±1 plus even coverage), recovers from the exact
 //! persistent state left behind, and classifies each point; it exits
 //! nonzero if a Horus scheme ever silently returns corrupted data.
 //!
-//! `sweep` and `crash-sweep` parse their flags with the one shared
-//! parser the `repro-*` binaries use (`horus_bench::cli::HarnessArgs`):
+//! `sweep`, `repro`, `bench-gate` and `crash-sweep` parse their flags
+//! with the one shared parser (`horus_bench::cli::HarnessArgs`):
 //! `--metrics-addr ADDR` serves live Prometheus text (`GET /metrics`)
 //! for the duration of the run, and `--run-dir DIR` (also on `serve`)
 //! collects the run's artifacts — `summary.json`, `spans.json`,
-//! `logs.ndjson`, `progress.ndjson` — which `insight DIR` joins. With
-//! neither, nothing is written; with either, stdout is byte-identical.
+//! `logs.ndjson`, `progress.ndjson`, and for `repro` the probed
+//! `drain-trace.json` — which `insight DIR` joins. With neither,
+//! nothing is written; with either, stdout is byte-identical.
 //!
 //! Every subcommand rejects a flag it does not read, and every one takes
 //! `--log-level`.
 
+use horus::bench::ablations;
+use horus::bench::bench_gate::{self, BenchSnapshot};
 use horus::bench::cli::HarnessArgs;
 use horus::bench::crash_sweep as bench_crash;
+use horus::bench::repro_all::{self, ReproPlan};
 use horus::core::{
     attack, DrainScheme, PersistenceDomain, RecoveryMode, SecureEpdSystem, SystemConfig,
     TornWriteModel,
@@ -48,6 +64,7 @@ use horus::service::{run_worker, ServiceConfig, WorkerOptions};
 use horus::workload::{fill_hierarchy, parse_trace, FillPattern, TraceOp};
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Instant;
 
 fn parse_scheme(s: &str) -> Result<DrainScheme, String> {
     match s.to_ascii_lowercase().as_str() {
@@ -349,6 +366,211 @@ fn cmd_sweep(argv: &[String]) -> Result<(), String> {
     }
     obs.finish_or_exit(&harness);
     Ok(())
+}
+
+/// `repro`: every table and figure of the paper, rendered into
+/// `EXPERIMENTS.md` in the working directory and printed. Execution
+/// accounting goes to stderr, never into the document, so the markdown
+/// is byte-identical for any `--jobs` and for cached runs. Returns
+/// failure when a headline claim leaves its tolerance band.
+fn cmd_repro(argv: &[String]) -> Result<ExitCode, String> {
+    let args = HarnessArgs::parse_from(argv.iter().cloned())?;
+    args.write_trace_if_requested(&SystemConfig::paper_default(), DrainScheme::HorusSlm)?;
+    let obs = args.obs_or_exit();
+    let harness = args.harness_with(&obs);
+    let plan = if args.quick {
+        ReproPlan::quick()
+    } else {
+        ReproPlan::full()
+    };
+    let started = Instant::now();
+    let out = repro_all::run(&harness, &plan);
+    std::fs::write("EXPERIMENTS.md", &out.markdown)
+        .map_err(|e| format!("writing EXPERIMENTS.md: {e}"))?;
+    println!("{}", out.markdown);
+    let (executed, cache_hits) = harness.totals();
+    eprintln!(
+        "wrote EXPERIMENTS.md: {executed} simulations executed, {cache_hits} cache hits, \
+         {:.1} s wall clock ({} workers)",
+        started.elapsed().as_secs_f64(),
+        harness.jobs()
+    );
+    obs.finish_or_exit(&harness);
+    let failures = out.failures();
+    for c in &failures {
+        eprintln!(
+            "TOLERANCE FAILURE: {} — paper {:.prec$}x, measured {:.prec$}x, allowed ±{:.0}%",
+            c.claim,
+            c.paper,
+            c.measured,
+            c.tolerance * 100.0,
+            prec = c.precision,
+        );
+    }
+    Ok(if failures.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
+}
+
+/// `v`, the value of `flag`, as a tolerance in `[0, 1)`.
+fn fraction(flag: &str, v: &str) -> Result<f64, String> {
+    let f = v.parse::<f64>().map_err(|e| format!("{flag} {v}: {e}"))?;
+    if !(0.0..1.0).contains(&f) {
+        return Err(format!("{flag} {v}: want a fraction in [0, 1)"));
+    }
+    Ok(f)
+}
+
+/// `bench-gate`: measure the smoke plan's headline op counts and diff
+/// them against the committed `BENCH_smoke.json`.
+///
+/// The simulator is deterministic, so the op counts and claim ratios
+/// reproduce exactly run-to-run; the 2% tolerance absorbs only
+/// intentional model refinements too small to change a conclusion. The
+/// `ops_per_sec` throughput section is gated at 25%, regressions only,
+/// because wall-clock rates depend on the runner. The `host_profile`
+/// section (CPU seconds, peak RSS, allocation totals) is looser still
+/// (`--host-profile-tolerance`, default 50%) and informational unless
+/// `--gate-host-profile` is given. `--update` rewrites the baseline
+/// instead of comparing; `--out FILE` also writes this run's snapshot.
+fn cmd_bench_gate(argv: &[String]) -> Result<ExitCode, String> {
+    let mut update = false;
+    let mut out = None;
+    let mut host_profile_tolerance = bench_gate::HOST_PROFILE_TOLERANCE;
+    let mut gate_host_profile = false;
+    let args = HarnessArgs::parse_refusing(
+        argv.iter().cloned(),
+        "bench-gate",
+        &["--quick"],
+        |flag, it| {
+            match flag {
+                "--update" => update = true,
+                "--out" => out = Some(it.next().ok_or("--out requires a value")?),
+                "--host-profile-tolerance" => {
+                    let v = it
+                        .next()
+                        .ok_or("--host-profile-tolerance requires a value")?;
+                    host_profile_tolerance = fraction("--host-profile-tolerance", &v)?;
+                }
+                "--gate-host-profile" => gate_host_profile = true,
+                _ => return Ok(false),
+            }
+            Ok(true)
+        },
+    )?;
+    let obs = args.obs_or_exit();
+    let harness = args.harness_with(&obs);
+    let snapshot = bench_gate::measure_with(&harness, harness.jobs());
+    obs.finish_or_exit(&harness);
+    println!(
+        "smoke-plan headline op counts ({:.2}s wall, {} workers):\n\n{}",
+        snapshot.wall_seconds,
+        harness.jobs(),
+        snapshot.render()
+    );
+    println!("ops_per_sec: {}", snapshot.render_throughput());
+    if let Some(host) = &snapshot.host_profile {
+        println!(
+            "host_profile: cpu {} s, peak rss {}, allocs {}",
+            host.cpu_seconds
+                .map_or_else(|| "n/a".to_owned(), |v| format!("{v:.2}")),
+            host.peak_rss_bytes
+                .map_or_else(|| "n/a".to_owned(), |v| format!("{} MiB", v >> 20)),
+            host.allocations.map_or_else(
+                || "n/a (build with --features alloc-profile)".to_owned(),
+                |v| v.to_string()
+            ),
+        );
+    }
+    if let Some(out) = &out {
+        std::fs::write(out, snapshot.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
+        println!("snapshot written to {out}");
+    }
+    let baseline_path = bench_gate::BASELINE;
+    if update {
+        std::fs::write(baseline_path, snapshot.to_json())
+            .map_err(|e| format!("writing {baseline_path}: {e}"))?;
+        println!("baseline refreshed at {baseline_path}");
+        return Ok(ExitCode::SUCCESS);
+    }
+    let text = std::fs::read_to_string(baseline_path).map_err(|e| {
+        format!("reading baseline {baseline_path}: {e}\n(run with --update to create it)")
+    })?;
+    let baseline =
+        BenchSnapshot::parse(&text).map_err(|e| format!("baseline {baseline_path}: {e}"))?;
+    let mut deviations = bench_gate::compare(&snapshot, &baseline, bench_gate::COUNT_TOLERANCE);
+    deviations.extend(bench_gate::compare_throughput(
+        &snapshot,
+        &baseline,
+        bench_gate::THROUGHPUT_TOLERANCE,
+    ));
+    let host_deviations =
+        bench_gate::compare_host_profile(&snapshot, &baseline, host_profile_tolerance);
+    if gate_host_profile {
+        deviations.extend(host_deviations);
+    } else if !host_deviations.is_empty() {
+        eprintln!(
+            "host-profile note ({} finding(s), informational — pass --gate-host-profile to gate):",
+            host_deviations.len()
+        );
+        for d in &host_deviations {
+            eprintln!("  - {d}");
+        }
+    }
+    if deviations.is_empty() {
+        println!(
+            "bench gate PASSED: headline numbers within {:.1}%, throughput within \
+             {:.0}% of {baseline_path} (baseline wall {:.2}s, this run {:.2}s — informational)",
+            bench_gate::COUNT_TOLERANCE * 100.0,
+            bench_gate::THROUGHPUT_TOLERANCE * 100.0,
+            baseline.wall_seconds,
+            snapshot.wall_seconds
+        );
+        return Ok(ExitCode::SUCCESS);
+    }
+    eprintln!(
+        "bench gate FAILED: {} deviation(s) beyond {:.1}% (counts) / {:.0}% \
+         (throughput) of {baseline_path}:",
+        deviations.len(),
+        bench_gate::COUNT_TOLERANCE * 100.0,
+        bench_gate::THROUGHPUT_TOLERANCE * 100.0,
+    );
+    for d in &deviations {
+        eprintln!("  - {d}");
+    }
+    eprintln!("fix the regression, or refresh with --update and justify the change");
+    Ok(ExitCode::FAILURE)
+}
+
+/// `ablation NAME`: one of the experiments in `horus_bench::ablations`,
+/// printed. Returns failure when a fault-injection trial returned
+/// corrupted data or failed an invariant.
+fn cmd_ablation(argv: &[String]) -> Result<ExitCode, String> {
+    let args = Args::parse(argv, &[], &[], 1)?;
+    let names = ablations::NAMES.join(", ");
+    let name = args
+        .positional
+        .first()
+        .ok_or(format!("ablation needs a name ({names})"))?;
+    let (report, failures) = match name.as_str() {
+        "wear" => (ablations::wear(), 0),
+        "metacache" => (ablations::metacache(), 0),
+        "runtime" => (ablations::runtime(), 0),
+        "domains" => (ablations::domains(), 0),
+        "faults" => {
+            let campaign = ablations::faults();
+            (campaign.report, campaign.failures)
+        }
+        other => return Err(format!("unknown ablation '{other}' ({names})")),
+    };
+    print!("{report}");
+    if failures > 0 {
+        eprintln!("{failures} trial(s) returned corrupted data or failed an invariant");
+        return Ok(ExitCode::FAILURE);
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `crash-sweep`: the crash-point fault-injection matrix. Returns the
@@ -720,7 +942,7 @@ fn cmd_trace_drain(args: &Args) -> Result<(), String> {
 }
 
 const USAGE: &str =
-    "usage: horus-cli <config|drain|recover|attack|sweep|crash-sweep|serve|fleet-worker|insight|trace> [options]
+    "usage: horus-cli <config|drain|recover|attack|sweep|repro|bench-gate|ablation|crash-sweep|serve|fleet-worker|insight|trace> [options]
   config                          print the Table I configuration as JSON
   drain   --scheme S [--llc-mb N] [--stride B] [--json]
   recover --scheme S [--llc-mb N] [--write-through] [--json]
@@ -728,6 +950,15 @@ const USAGE: &str =
   sweep   [--llc 8,16,32] [--json] [--jobs N] [--cache-dir DIR] [--no-cache]
           [--service HOST:PORT [--service-tenant NAME]]   submit the points to a serve
           daemon instead of the local pool; output stays byte-identical to the local run
+  repro   [--quick] [--jobs N] [--cache-dir DIR] [--no-cache] [--service HOST:PORT
+          [--service-tenant NAME]]   every table and figure of the paper: writes and prints
+          EXPERIMENTS.md; exits nonzero when a headline claim leaves its tolerance band
+  bench-gate [--update] [--out FILE] [--host-profile-tolerance F] [--gate-host-profile]
+          [--jobs N] [--cache-dir DIR] [--no-cache]   smoke-plan op counts (2%) and
+          throughput (25%, regressions only) against the committed BENCH_smoke.json;
+          --update rewrites it
+  ablation wear|metacache|runtime|domains|faults   an experiment beyond the paper's
+          figures, run inline; faults exits nonzero on a failed trial
   crash-sweep [--quick] [--points N] [--model torn|stale|garbled] [--jobs N]
           [--out FILE] [--json]   interrupt each drain at sampled cycles, recover,
           classify; exits nonzero on any Horus silent corruption
@@ -746,8 +977,9 @@ const USAGE: &str =
   trace   <scheme> [--llc-mb N] [--stride B] [--out FILE]   probed drain: utilization,
           critical path, optional Chrome-trace JSON (Perfetto-loadable)
   trace   --file <path> [--domain epd|adr|bbb:<lines>]      workload replay
-sweep/crash-sweep telemetry: [--metrics-addr ADDR] [--run-dir DIR]
-run dir (sweep, crash-sweep, serve): summary.json spans.json logs.ndjson progress.ndjson
+sweep/repro/bench-gate/crash-sweep telemetry: [--metrics-addr ADDR] [--run-dir DIR]
+run dir (sweep, repro, bench-gate, crash-sweep, serve): summary.json spans.json logs.ndjson
+          progress.ndjson, plus drain-trace.json for repro
 every command: [--log-level debug|info|warn|error]
 schemes: ns base-lu base-eu horus(-slm) horus-dlm";
 
@@ -757,30 +989,27 @@ fn main() -> ExitCode {
         .split_first()
         .map_or(("help", &[][..]), |(cmd, rest)| (cmd.as_str(), rest));
     let result = match cmd {
-        "config" => cmd_config(rest),
-        "drain" => cmd_drain(rest),
-        "recover" => cmd_recover(rest),
-        "attack" => cmd_attack(rest),
-        "sweep" => cmd_sweep(rest),
-        "crash-sweep" => match cmd_crash_sweep(rest) {
-            Ok(code) => return code,
-            Err(e) => Err(e),
-        },
-        "serve" => cmd_serve(rest),
-        "fleet-worker" => cmd_fleet_worker(rest),
-        "insight" => cmd_insight(rest),
-        "trace" => cmd_trace(rest),
+        "config" => cmd_config(rest).map(|()| ExitCode::SUCCESS),
+        "drain" => cmd_drain(rest).map(|()| ExitCode::SUCCESS),
+        "recover" => cmd_recover(rest).map(|()| ExitCode::SUCCESS),
+        "attack" => cmd_attack(rest).map(|()| ExitCode::SUCCESS),
+        "sweep" => cmd_sweep(rest).map(|()| ExitCode::SUCCESS),
+        "repro" => cmd_repro(rest),
+        "bench-gate" => cmd_bench_gate(rest),
+        "ablation" => cmd_ablation(rest),
+        "crash-sweep" => cmd_crash_sweep(rest),
+        "serve" => cmd_serve(rest).map(|()| ExitCode::SUCCESS),
+        "fleet-worker" => cmd_fleet_worker(rest).map(|()| ExitCode::SUCCESS),
+        "insight" => cmd_insight(rest).map(|()| ExitCode::SUCCESS),
+        "trace" => cmd_trace(rest).map(|()| ExitCode::SUCCESS),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
-            Ok(())
+            Ok(ExitCode::SUCCESS)
         }
         other => Err(format!("unknown command '{other}'")),
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            ExitCode::FAILURE
-        }
-    }
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        ExitCode::FAILURE
+    })
 }

@@ -41,20 +41,24 @@ const DELETED: [&str; 7] = [
 #[test]
 fn deleted_output_flags_are_rejected_by_every_subcommand() {
     for cmd in [
-        "sweep",
-        "crash-sweep",
-        "serve",
-        "insight",
-        "drain",
-        "config",
+        &["sweep"][..],
+        &["crash-sweep"],
+        &["serve"],
+        &["insight"],
+        &["drain"],
+        &["config"],
+        &["repro"],
+        &["bench-gate"],
+        &["ablation", "wear"],
     ] {
         for flag in DELETED {
-            // `crash-sweep` and `insight` claim `--out FILE` for their
-            // own outputs (the crash matrix, `insight.json`).
-            if matches!(cmd, "crash-sweep" | "insight") && flag == "--out" {
+            // `crash-sweep`, `insight` and `bench-gate` claim `--out
+            // FILE` for their own outputs (the crash matrix,
+            // `insight.json`, the gate's snapshot).
+            if matches!(cmd[0], "crash-sweep" | "insight" | "bench-gate") && flag == "--out" {
                 continue;
             }
-            assert_rejected(&[cmd, flag, "x.json"], flag);
+            assert_rejected(&[cmd, &[flag, "x.json"]].concat(), flag);
         }
     }
 }
@@ -96,5 +100,49 @@ fn serve_metrics_is_gone_and_log_level_is_global() {
     assert!(
         !cli(&["config", "extra"]).status.success(),
         "stray positional"
+    );
+}
+
+#[test]
+fn paper_commands_refuse_flags_they_do_not_read() {
+    // `--sim-threads` is gone: episodes run on the one harness pool.
+    for cmd in [&["repro"][..], &["bench-gate"], &["ablation", "wear"]] {
+        assert_rejected(&[cmd, &["--sim-threads", "2"]].concat(), "--sim-threads");
+    }
+    // `repro` renders the whole document; there is no section filter.
+    assert_rejected(&["repro", "--only", "fig06"], "--only");
+    // The gate has one smoke plan, one baseline and fixed tolerances.
+    assert_rejected(&["bench-gate", "--quick"], "--quick");
+    for flag in ["--baseline", "--tolerance", "--throughput-tolerance"] {
+        assert_rejected(&["bench-gate", flag, "0.5"], flag);
+    }
+    // Ablations run inline: no pool, cache, service or run directory.
+    for flag in ["--jobs", "--cache-dir", "--service", "--run-dir"] {
+        assert_rejected(&["ablation", "wear", flag, "2"], flag);
+    }
+    for flag in ["--quick", "--no-cache"] {
+        assert_rejected(&["ablation", "faults", flag], flag);
+    }
+}
+
+#[test]
+fn ablation_names_its_choices() {
+    for args in [
+        &["ablation"][..],
+        &["ablation", "fig06"],
+        &["ablation", "wear", "faults"],
+    ] {
+        let out = cli(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} was accepted");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+    }
+    let stderr = String::from_utf8_lossy(&cli(&["ablation", "fig06"]).stderr).into_owned();
+    assert!(
+        stderr.starts_with(
+            "error: unknown ablation 'fig06' (wear, metacache, runtime, domains, faults)"
+        ),
+        "{stderr}"
     );
 }

@@ -5,7 +5,8 @@
 //!
 //! Companion to `trace_golden.rs`: that file pins determinism across
 //! the memoizing `Harness`; this one pins the bare pool the harness and
-//! `bench-gate`'s throughput rating both run episodes on.
+//! the bench gate's throughput rating (`bench_gate::measure_throughput`)
+//! both run episodes on.
 
 use horus::core::{DrainScheme, SystemConfig};
 use horus::harness::{run_indexed, JobSpec};
@@ -41,7 +42,7 @@ fn results_json(threads: usize) -> String {
 }
 
 #[test]
-fn sim_threads_results_are_byte_identical_across_pool_sizes() {
+fn results_are_byte_identical_across_pool_sizes() {
     let reference = results_json(1);
     for threads in [2usize, 8] {
         assert_eq!(
@@ -53,7 +54,7 @@ fn sim_threads_results_are_byte_identical_across_pool_sizes() {
 }
 
 #[test]
-fn sim_threads_golden_traces_are_byte_identical() {
+fn golden_traces_are_byte_identical() {
     // Probed episodes: the full cycle-stamped event stream must survive
     // the pool, not just the aggregate counts.
     let traces = |threads: usize| -> Vec<String> {
@@ -73,7 +74,7 @@ fn sim_threads_golden_traces_are_byte_identical() {
 }
 
 #[test]
-fn sim_threads_merge_preserves_scheme_order() {
+fn merge_preserves_scheme_order() {
     // The merged vector must line up with DrainScheme::ALL submission
     // order, whatever order the workers finished in.
     let results = per_scheme(8, |spec| spec.execute());

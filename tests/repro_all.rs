@@ -1,11 +1,11 @@
-//! Acceptance tests for the migrated `repro-all` pipeline: the
+//! Acceptance tests for the `horus-cli repro` pipeline: the
 //! generated `EXPERIMENTS.md` markdown must be byte-identical for any
 //! `--jobs` count, and an immediately repeated invocation against a
 //! warm result cache must complete with 100% cache hits — zero
 //! re-executed simulations.
 //!
 //! Runs the real pipeline on [`ReproPlan::smoke`] (same code path as
-//! the binary, miniature configuration) so the test finishes in
+//! the command, miniature configuration) so the test finishes in
 //! seconds.
 
 use horus::harness::{Harness, HarnessOptions, ProgressMode};
