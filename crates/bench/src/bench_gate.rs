@@ -34,9 +34,9 @@
 
 use crate::repro_all::{self, ReproPlan};
 use crate::{figures, table};
-use horus_harness::{run_indexed, Harness};
+use horus_harness::Harness;
 use serde::Deserialize;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One scheme's headline op counts at smoke scale.
 #[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
@@ -251,49 +251,48 @@ fn f64_json(v: f64) -> String {
     }
 }
 
-/// Times `sets` un-memoized five-scheme smoke episodes and rates the
-/// fastest set — simulated cycles retired and scheme episodes completed
-/// per wall second. Direct [`horus_harness::JobSpec::execute`] calls, bypassing the
-/// harness cache, so the rate reflects real simulation work.
-///
-/// The five scheme episodes of one set are independent, so they run on
-/// a [`run_indexed`] pool of `threads` workers (results come back in
-/// scheme order, so the cycle totals are identical for any worker
-/// count); the wall clock then covers the *slowest* episode rather than
-/// the sum.
+/// The wall time [`measure_throughput`] keeps timing smoke sets for.
+/// One five-episode set takes a few milliseconds in a release build, so
+/// a single set's wall time is mostly scheduler noise; a 1 s window
+/// averages it out.
+const THROUGHPUT_WINDOW: Duration = Duration::from_secs(1);
+
+/// Times un-memoized five-scheme smoke episodes on the calling thread,
+/// set after set, until a fixed one-second window has passed, and rates
+/// the whole window — simulated cycles retired and scheme episodes
+/// completed per wall second. Direct [`horus_harness::JobSpec::execute`]
+/// calls, bypassing the harness cache, so the rate reflects real
+/// simulation work. One worker, so the rate does not depend on how many
+/// CPUs the host lends the run from one moment to the next.
 ///
 /// # Panics
 ///
 /// Panics when an episode panics: a diverging episode aborts the
 /// measurement rather than rating a partial set.
 #[must_use]
-pub fn measure_throughput(plan: &ReproPlan, sets: u32, threads: usize) -> Vec<Throughput> {
+pub fn measure_throughput(plan: &ReproPlan) -> Vec<Throughput> {
     use horus_core::DrainScheme;
     let pattern = crate::experiments::paper_fill();
-    let mut best = f64::INFINITY;
-    let mut cycles_per_set = 0u64;
-    for _ in 0..sets.max(1) {
-        let started = Instant::now();
-        cycles_per_set = run_indexed(DrainScheme::ALL.len(), threads, |i| {
-            horus_harness::JobSpec::drain(&plan.base, DrainScheme::ALL[i], pattern)
+    let (mut cycles, mut episodes) = (0u64, 0usize);
+    let started = Instant::now();
+    while started.elapsed() < THROUGHPUT_WINDOW {
+        for scheme in DrainScheme::ALL {
+            cycles += horus_harness::JobSpec::drain(&plan.base, scheme, pattern)
                 .execute()
                 .drain
-                .cycles
-        })
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|e| panic!("throughput episode panicked: {e}")))
-        .sum();
-        best = best.min(started.elapsed().as_secs_f64());
+                .cycles;
+        }
+        episodes += DrainScheme::ALL.len();
     }
-    let best = best.max(1e-9);
+    let seconds = started.elapsed().as_secs_f64();
     vec![
         Throughput {
             metric: "sim_cycles".to_owned(),
-            per_sec: cycles_per_set as f64 / best,
+            per_sec: cycles as f64 / seconds,
         },
         Throughput {
             metric: "episodes".to_owned(),
-            per_sec: DrainScheme::ALL.len() as f64 / best,
+            per_sec: episodes as f64 / seconds,
         },
     ]
 }
@@ -315,16 +314,21 @@ pub const THROUGHPUT_TOLERANCE: f64 = 0.25;
 pub const HOST_PROFILE_TOLERANCE: f64 = 0.5;
 
 /// Runs the smoke plan on `harness` and snapshots its headline numbers,
-/// rating throughput on a pool of `threads` workers (`bench-gate` passes
-/// the harness's own worker count, which the committed baseline was
-/// measured with).
+/// then rates throughput ([`measure_throughput`]). The host profile and
+/// wall time cover the plan alone, not the throughput window.
 #[must_use]
-pub fn measure_with(harness: &Harness, threads: usize) -> BenchSnapshot {
-    let started = Instant::now();
+pub fn measure_with(harness: &Harness) -> BenchSnapshot {
     let plan = ReproPlan::smoke();
-    let all = repro_all::run(harness, &plan);
+    let mut snapshot = snapshot_plan(harness, &plan);
+    snapshot.ops_per_sec = measure_throughput(&plan);
+    snapshot
+}
+
+/// Everything [`measure_with`] records except `ops_per_sec`.
+fn snapshot_plan(harness: &Harness, plan: &ReproPlan) -> BenchSnapshot {
+    let started = Instant::now();
+    let all = repro_all::run(harness, plan);
     let cmp = figures::scheme_comparison(harness, &plan.base);
-    let ops_per_sec = measure_throughput(&plan, 3, threads);
     BenchSnapshot {
         schemes: cmp
             .reports
@@ -344,7 +348,7 @@ pub fn measure_with(harness: &Harness, threads: usize) -> BenchSnapshot {
                 measured: c.measured,
             })
             .collect(),
-        ops_per_sec,
+        ops_per_sec: Vec::new(),
         host_profile: Some(HostProfileSection::capture()),
         wall_seconds: started.elapsed().as_secs_f64(),
     }
@@ -777,13 +781,13 @@ mod tests {
     #[test]
     fn measured_smoke_snapshot_is_stable_and_self_consistent() {
         let harness = Harness::serial();
-        let snap = measure_with(&harness, 2);
+        let snap = measure_with(&harness);
         assert_eq!(snap.schemes.len(), 5, "one row per scheme");
         assert!(!snap.checks.is_empty());
         assert!(snap.wall_seconds > 0.0);
         assert_eq!(snap.ops_per_sec.len(), 2);
         assert!(snap.ops_per_sec.iter().all(|t| t.per_sec > 0.0));
-        let again = measure_with(&harness, 2);
+        let again = snapshot_plan(&harness, &ReproPlan::smoke());
         assert!(compare(&snap, &again, 0.0).is_empty(), "deterministic");
         let parsed = BenchSnapshot::parse(&snap.to_json()).expect("parses");
         assert!(compare(&parsed, &snap, 0.0).is_empty(), "codec faithful");

@@ -17,11 +17,11 @@ use horus_bench::bench_gate;
 use horus_bench::repro_all::ReproPlan;
 
 /// Simulated cycles retired per wall second that any release build
-/// must exceed. With AES-NI crypto and the five scheme episodes on a
-/// host-sized pool, release builds measure ~1e9/s on multi-core hosts
-/// (and ~4-6e8/s single-threaded); debug builds ~1e7/s. The floor sits at the old
-/// *pre-speedup* release rate, so even a host throttled to one core
-/// clears it by 2x+ while any catastrophic regression still trips.
+/// must exceed. With AES-NI crypto, release builds measure ~0.8-1.3e9/s
+/// on one thread of a shared 2-CPU x86-64 host; debug builds ~1e7/s. The
+/// floor sits at the old *pre-speedup* release rate, so even a slow or
+/// busy host clears it by 2x+ while any catastrophic regression still
+/// trips.
 const SIM_CYCLES_PER_SEC_FLOOR: f64 = 2.0e8;
 
 #[test]
@@ -31,8 +31,7 @@ const SIM_CYCLES_PER_SEC_FLOOR: f64 = 2.0e8;
 )]
 fn smoke_episode_clears_the_simulated_cycles_floor() {
     let plan = ReproPlan::smoke();
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let rates = bench_gate::measure_throughput(&plan, 5, threads);
+    let rates = bench_gate::measure_throughput(&plan);
     let cycles = rates
         .iter()
         .find(|t| t.metric == "sim_cycles")

@@ -24,13 +24,17 @@
 //!   incomplete no matter how much it salvaged: lines that were never
 //!   pushed are gone and the machine knows it. This is what makes Horus
 //!   crash-*detectable* at every cycle: it can lose recent data to the
-//!   outage window, but it never lies about having it. A completed
-//!   drain or a successful recovery closes the register again.
+//!   outage window, but it never lies about having it.
 //! * **Baselines** — Base-LU/EU have no such register (that is their
-//!   documented vulnerability). Their on-chip metadata engine reverts to
-//!   its pre-drain snapshot (the shadow-flush commit never happened) and
-//!   its volatile caches are cleared by the power loss; recovery and
+//!   documented vulnerability). Their on-chip metadata engine reverts
+//!   to its pre-drain snapshot (the shadow-flush commit never happened)
+//!   and its volatile caches are cleared by the power loss; recovery and
 //!   subsequent reads see whatever NVM happens to hold.
+//!
+//! The register, the episode record and the CHV rotation counter have
+//! one owner, the crate's private `EpisodeState` (`episode.rs`, whose
+//! module docs hold the transition table); completed and cut drains
+//! share one power-off.
 //!
 //! [`run_crash_point`] packages one full experiment: fill-drain-crash,
 //! recover, read back every pre-crash dirty line, and return a
@@ -38,7 +42,7 @@
 
 use crate::drain::DrainScheme;
 use crate::recovery::{RecoveryError, RecoveryMode, RecoveryReport};
-use crate::system::{Episode, SecureEpdSystem};
+use crate::system::SecureEpdSystem;
 use horus_sim::{Cycles, PowerFailure};
 use serde::{Deserialize, Serialize};
 
@@ -212,33 +216,7 @@ impl SecureEpdSystem {
             self.engine = snap;
         }
 
-        // Power off: volatile state is lost regardless of scheme.
-        self.hierarchy.clear();
-        self.clear_metadata_caches();
-
-        let chv_slot = run.chv_slot;
-        if scheme.is_horus() {
-            // The slot was consumed even if the episode never finished.
-            self.episodes_drained += 1;
-        }
-        // A completed drain of any scheme closes the register; a cut
-        // Horus drain opens it.
-        if completed {
-            self.drain_open = false;
-        } else if scheme.is_horus() {
-            self.drain_open = true;
-        }
-        self.episode = Some(Episode {
-            scheme,
-            // An interrupted Horus episode spans only the issued pushes;
-            // recovery must not look past the frozen DC value.
-            blocks: if scheme.is_horus() && !completed {
-                issued
-            } else {
-                run.flushed + run.metadata_blocks
-            },
-            chv_slot,
-        });
+        self.power_off(scheme, &run, (!completed).then_some(issued));
 
         InterruptedDrain {
             scheme: scheme.name().to_owned(),
@@ -269,8 +247,8 @@ impl SecureEpdSystem {
         &mut self,
         mode: RecoveryMode,
     ) -> Result<CrashRecovery, RecoveryError> {
-        let ep = self.episode.ok_or(RecoveryError::NoEpisode)?;
-        let salvage = self.drain_open;
+        let ep = self.episodes.episode().ok_or(RecoveryError::NoEpisode)?;
+        let salvage = self.episodes.drain_open();
         let report = self.recover_episode(mode, salvage)?;
         Ok(CrashRecovery {
             complete: !salvage,

@@ -3,7 +3,7 @@
 
 use crate::chv::{ChvLayout, ChvWriter, MacGranularity};
 use crate::report::DrainReport;
-use crate::system::{Episode, SecureEpdSystem};
+use crate::system::SecureEpdSystem;
 use horus_metadata::UpdateScheme;
 use horus_nvm::Block;
 use horus_sim::trace::base_resource;
@@ -97,8 +97,6 @@ pub(crate) struct DrainRun {
     pub(crate) flushed: u64,
     /// Metadata blocks flushed (baselines) or vaulted (Horus).
     pub(crate) metadata_blocks: u64,
-    /// The CHV rotation slot used (0 for non-Horus schemes).
-    pub(crate) chv_slot: u64,
     /// The cycle each Horus CHV push was issued at, in push order — the
     /// instant the DC/eDC registers increment for that block. Empty for
     /// non-Horus schemes.
@@ -128,27 +126,7 @@ impl SecureEpdSystem {
 
         let cycles = self.platform.busy_until();
         let seconds = self.config.nvm.frequency.cycles_to_seconds(cycles);
-
-        // Power off: all volatile state is lost.
-        self.hierarchy.clear();
-        if scheme.is_horus() || scheme == DrainScheme::NonSecure {
-            // Baselines already cleared their metadata caches in
-            // flush_after_drain; Horus drained them into the CHV.
-            self.clear_metadata_caches();
-        }
-
-        if scheme.is_horus() {
-            self.episodes_drained += 1;
-        }
-        // A completed drain of any scheme closes the drain-open
-        // register, even one an earlier interrupted episode left set:
-        // this episode supersedes that one.
-        self.drain_open = false;
-        self.episode = Some(Episode {
-            scheme,
-            blocks: flushed + metadata_blocks,
-            chv_slot: run.chv_slot,
-        });
+        self.power_off(scheme, &run, None);
 
         let mut stats = self.platform.merged_stats();
         // Probe post-processing: derive per-resource utilization and the
@@ -215,7 +193,6 @@ impl SecureEpdSystem {
         self.hierarchy.drain_order_into(&mut blocks);
         let flushed = blocks.len() as u64;
         let mut metadata_blocks = 0u64;
-        let mut chv_slot = 0u64;
         let mut push_issue_cycles = Vec::new();
 
         // Walk markers: how many unique dirty lines each level
@@ -262,8 +239,7 @@ impl SecureEpdSystem {
                 // Wear levelling: episodes rotate across the reserved
                 // vault slots (the slot index is derived from an on-chip
                 // episode counter, so recovery knows where to look).
-                let slot = self.episodes_drained % self.config.chv_rotation_slots.max(1);
-                chv_slot = slot;
+                let slot = self.episodes.next_chv_slot();
                 let layout = ChvLayout::new(self.chv_slot_base(slot), mode);
                 // A new episode overwrites the vault; if a previous one
                 // was never recovered (e.g. its recovery was aborted),
@@ -316,7 +292,6 @@ impl SecureEpdSystem {
         DrainRun {
             flushed,
             metadata_blocks,
-            chv_slot,
             push_issue_cycles,
         }
     }
@@ -343,11 +318,19 @@ impl SecureEpdSystem {
         }
     }
 
-    pub(crate) fn clear_metadata_caches(&mut self) {
-        // Power loss: the engine's caches are volatile. Flushing already
-        // cleared them for the baselines; Horus clears them here after
-        // vaulting the dirty lines.
+    /// Powers off at the end of a drain — completed (`issued` is
+    /// `None`) or cut after `issued` Horus CHV pushes: the hierarchy and
+    /// the metadata caches are volatile and lost (a baseline's flush
+    /// already emptied the latter; Horus vaulted their dirty lines), and
+    /// the persistent episode state records the episode.
+    pub(crate) fn power_off(&mut self, scheme: DrainScheme, run: &DrainRun, issued: Option<u64>) {
+        self.hierarchy.clear();
         self.engine.clear_caches_on_power_loss();
+        let blocks = run.flushed + run.metadata_blocks;
+        match issued {
+            None => self.episodes.drain_completed(scheme, blocks),
+            Some(issued) => self.episodes.drain_interrupted(scheme, blocks, issued),
+        }
     }
 }
 

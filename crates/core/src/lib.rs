@@ -51,6 +51,7 @@ pub mod counter_reg;
 pub mod crash;
 pub mod domain;
 pub mod drain;
+mod episode;
 pub mod osiris;
 pub mod recovery;
 pub mod report;

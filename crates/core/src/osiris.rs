@@ -49,7 +49,7 @@ impl SecureEpdSystem {
     pub fn simulate_metadata_loss(&mut self) {
         self.hierarchy.clear();
         self.engine.clear_caches_on_power_loss();
-        self.episode = None;
+        self.episodes.clear();
         self.platform.reset_timing();
         self.clock = Cycles::ZERO;
     }

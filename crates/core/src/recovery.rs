@@ -131,7 +131,7 @@ impl SecureEpdSystem {
         mode: RecoveryMode,
         salvage: bool,
     ) -> Result<RecoveryReport, RecoveryError> {
-        let ep = self.episode.ok_or(RecoveryError::NoEpisode)?;
+        let ep = self.episodes.episode().ok_or(RecoveryError::NoEpisode)?;
         self.platform.reset_timing();
         self.clock = Cycles::ZERO;
         let mut restored = 0u64;
@@ -154,8 +154,7 @@ impl SecureEpdSystem {
             }
         }
 
-        self.drain_open = false;
-        self.episode = None;
+        self.episodes.clear();
         let cycles = self.platform.busy_until();
         if self.platform.probe_enabled() {
             let phase = if salvage {

@@ -5,6 +5,7 @@ use crate::config::SystemConfig;
 use crate::counter_reg::DrainCounters;
 use crate::domain::{PersistBuffer, PersistStats};
 use crate::drain::DrainScheme;
+use crate::episode::EpisodeState;
 use horus_cache::CacheHierarchy;
 use horus_crypto::{otp, Aes128, Cmac};
 use horus_metadata::{IntegrityError, MetadataEngine, Platform, UpdateScheme};
@@ -16,7 +17,10 @@ use horus_sim::{Cycles, TraceEvent};
 pub struct Episode {
     /// The drain scheme that produced the episode.
     pub scheme: DrainScheme,
-    /// Total blocks streamed (hierarchy + metadata for Horus schemes).
+    /// Blocks the episode spans: every block streamed (hierarchy +
+    /// metadata) for a drain that ran to completion and for a cut
+    /// baseline drain; the CHV pushes issued before the cut for an
+    /// interrupted Horus drain.
     pub blocks: u64,
     /// The CHV rotation slot this episode's vault occupies.
     pub chv_slot: u64,
@@ -41,14 +45,10 @@ pub struct SecureEpdSystem {
     pub(crate) data_aes: Aes128,
     pub(crate) data_cmac: Cmac,
     pub(crate) counters: DrainCounters,
-    pub(crate) episode: Option<Episode>,
-    pub(crate) episodes_drained: u64,
-    /// Horus's persistent drain-open register: set when a drain episode
-    /// was cut short by a power failure before its last CHV write
-    /// completed, cleared when a drain or its recovery finishes. Lives
-    /// beside the persistent DC register on chip; the baselines have no
-    /// such register, which is exactly their vulnerability window.
-    pub(crate) drain_open: bool,
+    /// The persistent drain-open register, the unrecovered episode and
+    /// the CHV rotation counter; their only writer is
+    /// [`EpisodeState`]'s transitions.
+    pub(crate) episodes: EpisodeState,
     pub(crate) persist_buffer: Option<PersistBuffer>,
     pub(crate) persist_stats: PersistStats,
     pub(crate) clock: Cycles,
@@ -85,9 +85,7 @@ impl SecureEpdSystem {
             engine,
             hierarchy,
             counters: DrainCounters::new(),
-            episode: None,
-            episodes_drained: 0,
-            drain_open: false,
+            episodes: EpisodeState::new(config.chv_rotation_slots),
             persist_buffer: None,
             persist_stats: PersistStats::default(),
             clock: Cycles::ZERO,
@@ -176,21 +174,24 @@ impl SecureEpdSystem {
     /// The most recent unrecovered draining episode, if any.
     #[must_use]
     pub fn episode(&self) -> Option<Episode> {
-        self.episode
+        self.episodes.episode()
     }
 
     /// Whether the persistent drain-open register is set: a Horus drain
-    /// was interrupted by a power failure and has not been recovered yet.
+    /// was interrupted by a power failure, and neither a recovery nor a
+    /// completed drain has closed the register since. Beside the
+    /// persistent DC register on chip; the baselines have no such
+    /// register, which is exactly their vulnerability window.
     #[must_use]
     pub fn drain_open(&self) -> bool {
-        self.drain_open
+        self.episodes.drain_open()
     }
 
     /// The CHV layout of the most recent episode, if it was a Horus
     /// drain.
     #[must_use]
     pub fn chv_layout(&self) -> Option<ChvLayout> {
-        let ep = self.episode?;
+        let ep = self.episodes.episode()?;
         let mode = ep.scheme.mac_granularity()?;
         Some(ChvLayout::new(self.chv_slot_base(ep.chv_slot), mode))
     }

@@ -30,7 +30,9 @@ use std::time::Duration;
 /// not depend on it.
 pub trait SweepBackend: Send + Sync {
     /// Executes `specs` remotely, returning one outcome per spec in
-    /// submission order.
+    /// submission order. `trace` is a correlation id the backend may
+    /// attach to its own telemetry (spans, logs, wire frames); it must
+    /// never change outcomes.
     ///
     /// # Errors
     ///
@@ -38,21 +40,7 @@ pub trait SweepBackend: Send + Sync {
     /// dispatched (unreachable service, protocol error). The
     /// harness converts a backend error into one `Panicked` outcome
     /// per job so reports keep their shape.
-    fn run_specs(&self, specs: &[JobSpec]) -> Result<Vec<JobOutcome>, String>;
-
-    /// [`SweepBackend::run_specs`] with a correlation trace id the
-    /// backend may attach to its own telemetry (spans, logs, wire
-    /// frames). The default implementation drops the trace and
-    /// delegates, so backends that predate correlation keep working
-    /// unchanged — and an absent trace must never change outcomes.
-    fn run_specs_traced(
-        &self,
-        specs: &[JobSpec],
-        trace: Option<&str>,
-    ) -> Result<Vec<JobOutcome>, String> {
-        let _ = trace;
-        self.run_specs(specs)
-    }
+    fn run_specs(&self, specs: &[JobSpec], trace: Option<&str>) -> Result<Vec<JobOutcome>, String>;
 
     /// Human-readable destination, for logs.
     fn describe(&self) -> String {
@@ -504,7 +492,7 @@ impl Harness {
             m.sweep_begin(specs.len(), 0);
         }
 
-        let outcomes = match backend.run_specs_traced(specs, trace) {
+        let outcomes = match backend.run_specs(specs, trace) {
             Ok(outcomes) if outcomes.len() == specs.len() => outcomes,
             Ok(outcomes) => {
                 let message = format!(
@@ -934,11 +922,7 @@ mod tests {
     struct TraceRecordingBackend(Mutex<Vec<Option<String>>>);
 
     impl SweepBackend for TraceRecordingBackend {
-        fn run_specs(&self, specs: &[JobSpec]) -> Result<Vec<JobOutcome>, String> {
-            self.run_specs_traced(specs, None)
-        }
-
-        fn run_specs_traced(
+        fn run_specs(
             &self,
             specs: &[JobSpec],
             trace: Option<&str>,
@@ -947,7 +931,7 @@ mod tests {
                 .lock()
                 .expect("poisoned")
                 .push(trace.map(str::to_string));
-            SerialBackend.run_specs(specs)
+            SerialBackend.run_specs(specs, None)
         }
     }
 
@@ -1065,7 +1049,11 @@ mod tests {
     struct SerialBackend;
 
     impl SweepBackend for SerialBackend {
-        fn run_specs(&self, specs: &[JobSpec]) -> Result<Vec<JobOutcome>, String> {
+        fn run_specs(
+            &self,
+            specs: &[JobSpec],
+            _trace: Option<&str>,
+        ) -> Result<Vec<JobOutcome>, String> {
             Ok(specs
                 .iter()
                 .map(|s| JobOutcome::Completed {
@@ -1083,7 +1071,11 @@ mod tests {
     struct FailingBackend;
 
     impl SweepBackend for FailingBackend {
-        fn run_specs(&self, _specs: &[JobSpec]) -> Result<Vec<JobOutcome>, String> {
+        fn run_specs(
+            &self,
+            _specs: &[JobSpec],
+            _trace: Option<&str>,
+        ) -> Result<Vec<JobOutcome>, String> {
             Err("service unreachable".to_owned())
         }
     }

@@ -65,15 +65,7 @@ impl ServiceBackend {
 }
 
 impl SweepBackend for ServiceBackend {
-    fn run_specs(&self, specs: &[JobSpec]) -> Result<Vec<JobOutcome>, String> {
-        self.run_specs_traced(specs, None)
-    }
-
-    fn run_specs_traced(
-        &self,
-        specs: &[JobSpec],
-        trace: Option<&str>,
-    ) -> Result<Vec<JobOutcome>, String> {
+    fn run_specs(&self, specs: &[JobSpec], trace: Option<&str>) -> Result<Vec<JobOutcome>, String> {
         let addr = self.resolve()?;
         let body = serde_json::to_string(&SubmitRequest::plan(specs.to_vec()))
             .map_err(|e| format!("serialize plan: {e}"))?;

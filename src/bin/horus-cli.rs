@@ -462,7 +462,7 @@ fn cmd_bench_gate(argv: &[String]) -> Result<ExitCode, String> {
     )?;
     let obs = args.obs_or_exit();
     let harness = args.harness_with(&obs);
-    let snapshot = bench_gate::measure_with(&harness, harness.jobs());
+    let snapshot = bench_gate::measure_with(&harness);
     obs.finish_or_exit(&harness);
     println!(
         "smoke-plan headline op counts ({:.2}s wall, {} workers):\n\n{}",

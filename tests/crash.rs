@@ -4,10 +4,13 @@
 
 use horus::bench::crash_sweep::{self, CrashSweepPlan};
 use horus::core::crash::{run_crash_point, CrashSpec};
+use horus::core::system::Episode;
 use horus::core::{
-    CrashVerdict, DrainScheme, RecoveryMode, SecureEpdSystem, SystemConfig, TornWriteModel,
+    CrashVerdict, DrainScheme, RecoveryError, RecoveryMode, SecureEpdSystem, SystemConfig,
+    TornWriteModel,
 };
 use horus::harness::Harness;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn filled(scheme: DrainScheme) -> SecureEpdSystem {
     let mut sys = SecureEpdSystem::for_scheme(SystemConfig::small_test(), scheme);
@@ -156,5 +159,327 @@ fn quick_crash_matrix_golden() {
             .expect("matrix serializes");
         let digest = fnv1a(json.as_bytes());
         assert_eq!(digest, golden, "{model}: {digest:#018x}");
+    }
+}
+
+// ----- the persistent episode state, against a written-out model -------
+
+/// CHV rotation slots for the state-machine sequences: two, so a second
+/// Horus episode lands in slot 1 and a rotation bug shows in `chv_slot`.
+const SLOTS: u64 = 2;
+
+/// The persistent episode state as `drain_open()` and `episode()` expose
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Register {
+    /// No unrecovered episode; the drain-open register is clear.
+    Idle,
+    /// An unrecovered episode; the register is clear.
+    Drained(Episode),
+    /// An unrecovered episode; the register is set.
+    Interrupted(Episode),
+}
+
+/// An event that changes the persistent episode state.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    /// A drain ran to completion.
+    Completed(Episode),
+    /// A drain was cut by a power failure.
+    Cut(Episode),
+    /// `recover_after_crash` returned `Ok`.
+    Recovered,
+    /// `recover_after_crash` returned an error.
+    RecoveryFailed,
+    /// `simulate_metadata_loss`.
+    MetadataLost,
+}
+
+/// The reference transition table: state × event → state.
+fn transition(state: Register, event: Event) -> Register {
+    use {Event as E, Register as R};
+    match (state, event) {
+        (_, E::Completed(ep)) => R::Drained(ep),
+        (_, E::Cut(ep)) if ep.scheme.is_horus() => R::Interrupted(ep),
+        (R::Interrupted(_), E::Cut(ep)) => R::Interrupted(ep),
+        (R::Idle | R::Drained(_), E::Cut(ep)) => R::Drained(ep),
+        (_, E::Recovered | E::MetadataLost) => R::Idle,
+        (state, E::RecoveryFailed) => state,
+    }
+}
+
+/// What one `recover_after_crash` call returns, as the model predicts it.
+#[derive(Debug, PartialEq, Eq)]
+enum Recovery {
+    /// `Ok`, with its `complete` flag and the probed recovery phase name.
+    Restored { complete: bool, phase: String },
+    /// `Err(RecoveryError::NoEpisode)`.
+    NoEpisode,
+    /// `Err(RecoveryError::Metadata(_))`.
+    MetadataError,
+}
+
+/// One step of a sequence.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Drain under the scheme, cut at half its planned cycles if `true`.
+    Drain(DrainScheme, bool),
+    /// `recover_after_crash(RefillLlc)`.
+    Recover,
+    /// `simulate_metadata_loss`.
+    LoseMetadata,
+}
+
+/// The model: the register plus the rotation counter and the last drain.
+struct Model {
+    register: Register,
+    horus_drains: u64,
+    last_drain: Option<(DrainScheme, bool)>,
+}
+
+impl Model {
+    fn episode(&self) -> Option<Episode> {
+        match self.register {
+            Register::Idle => None,
+            Register::Drained(ep) | Register::Interrupted(ep) => Some(ep),
+        }
+    }
+
+    /// The episode a drain of `blocks` blocks under `scheme` records:
+    /// every Horus drain, cut or completed, takes the next rotation slot.
+    fn record(&mut self, scheme: DrainScheme, blocks: u64) -> Episode {
+        let chv_slot = if scheme.is_horus() {
+            self.horus_drains += 1;
+            (self.horus_drains - 1) % SLOTS
+        } else {
+            0
+        };
+        Episode {
+            scheme,
+            blocks,
+            chv_slot,
+        }
+    }
+
+    /// What recovery returns from this state. Only a cut Base-LU episode
+    /// fails: its shadow flush never committed.
+    fn recovery(&self) -> Recovery {
+        match self.register {
+            Register::Idle => Recovery::NoEpisode,
+            Register::Drained(ep) | Register::Interrupted(ep)
+                if self.last_drain == Some((DrainScheme::BaseLazy, true)) =>
+            {
+                assert_eq!(ep.scheme, DrainScheme::BaseLazy);
+                Recovery::MetadataError
+            }
+            Register::Drained(ep) => Recovery::Restored {
+                complete: true,
+                phase: format!("recovery.{}", ep.scheme),
+            },
+            Register::Interrupted(ep) => Recovery::Restored {
+                complete: false,
+                phase: format!("recovery.crash.{}", ep.scheme),
+            },
+        }
+    }
+
+    /// Whether a drain under `scheme` panics with "legitimate drain must
+    /// verify". A baseline drain walks the run-time tree, which does not
+    /// verify in NVM right after a Base-LU drain whose episode is still
+    /// unrecovered (its metadata lives in the shadow region until then)
+    /// nor after a cut Base-EU drain (the engine's root register reverted
+    /// while some of the drain's tree writes landed).
+    fn baseline_drain_panics(&self, scheme: DrainScheme) -> bool {
+        let baseline = matches!(scheme, DrainScheme::BaseLazy | DrainScheme::BaseEager);
+        baseline
+            && match self.last_drain {
+                Some((DrainScheme::BaseLazy, _)) => self.episode().is_some(),
+                Some((DrainScheme::BaseEager, cut)) => cut,
+                _ => false,
+            }
+    }
+}
+
+fn recover(sys: &mut SecureEpdSystem) -> Recovery {
+    match sys.recover_after_crash(RecoveryMode::RefillLlc) {
+        Ok(rec) => {
+            let phase = sys
+                .take_episode_trace()
+                .expect("a probed recovery leaves its trace")
+                .into_iter()
+                .find(|e| e.track == "phase" && e.name.starts_with("recovery"))
+                .expect("the recovery phase is recorded")
+                .name;
+            Recovery::Restored {
+                complete: rec.complete,
+                phase,
+            }
+        }
+        Err(RecoveryError::NoEpisode) => Recovery::NoEpisode,
+        Err(RecoveryError::Metadata(_)) => Recovery::MetadataError,
+        Err(e) => panic!("unexpected recovery error {e}"),
+    }
+}
+
+/// Drains under `scheme`, cut at half the planned cycles if `cut`, and
+/// returns the event with the episode the model expects: the whole run
+/// for a completed drain or a cut baseline, the issued pushes for a cut
+/// Horus drain.
+fn drain(sys: &mut SecureEpdSystem, model: &mut Model, scheme: DrainScheme, cut: bool) -> Event {
+    model.last_drain = Some((scheme, cut));
+    if !cut {
+        let dr = sys.crash_and_drain(scheme);
+        return Event::Completed(model.record(scheme, dr.flushed_blocks + dr.metadata_blocks));
+    }
+    let plan = sys.clone().crash_and_drain(scheme);
+    let whole = plan.flushed_blocks + plan.metadata_blocks;
+    let dr = sys.crash_and_drain_interrupted(scheme, CrashSpec::at(plan.cycles / 2));
+    assert!(!dr.completed, "a cut at half the planned cycles interrupts");
+    let blocks = if scheme.is_horus() {
+        assert!(dr.issued_blocks < whole);
+        dr.issued_blocks
+    } else {
+        whole
+    };
+    Event::Cut(model.record(scheme, blocks))
+}
+
+/// Runs `steps` on a fresh system with the `engine` baseline's run-time
+/// engine, asserting the register and the episode after every step and
+/// the outcome of every recovery against the model. New activity (16
+/// dirty lines) precedes every drain after the first. Returns `true` if
+/// the sequence ended in a drain the model expects to panic.
+fn check_sequence(engine: DrainScheme, steps: &[Step]) -> bool {
+    let config = SystemConfig {
+        chv_rotation_slots: SLOTS,
+        ..SystemConfig::small_test()
+    };
+    let mut sys = SecureEpdSystem::for_scheme(config, engine);
+    sys.enable_probe();
+    for i in 0..48u64 {
+        sys.write(i * 16448, [i as u8 + 1; 64]).expect("write");
+    }
+    let mut model = Model {
+        register: Register::Idle,
+        horus_drains: 0,
+        last_drain: None,
+    };
+    let name = format!("{engine} engine, {steps:?}");
+    for (k, &step) in steps.iter().enumerate() {
+        let event = match step {
+            Step::Drain(scheme, cut) => {
+                if model.last_drain.is_some() {
+                    for i in 0..16u64 {
+                        sys.write(i * 16448 + 64, [0xAB; 64]).expect("write");
+                    }
+                }
+                if model.baseline_drain_panics(scheme) {
+                    // The drain loops panic before the cut cycle is
+                    // consulted, so the cut needs no plan here.
+                    let panic = catch_unwind(AssertUnwindSafe(|| {
+                        if cut {
+                            sys.crash_and_drain_interrupted(scheme, CrashSpec::at(0));
+                        } else {
+                            sys.crash_and_drain(scheme);
+                        }
+                    }))
+                    .expect_err(&format!("{name}: step {k} should panic"));
+                    let msg = panic
+                        .downcast_ref::<String>()
+                        .map_or("", String::as_str)
+                        .to_owned();
+                    assert!(
+                        msg.contains("legitimate drain must verify"),
+                        "{name}: step {k}: {msg}"
+                    );
+                    return true;
+                }
+                drain(&mut sys, &mut model, scheme, cut)
+            }
+            Step::Recover => {
+                let expected = model.recovery();
+                let ok = matches!(expected, Recovery::Restored { .. });
+                assert_eq!(recover(&mut sys), expected, "{name}: step {k}");
+                if ok {
+                    Event::Recovered
+                } else {
+                    Event::RecoveryFailed
+                }
+            }
+            Step::LoseMetadata => {
+                sys.simulate_metadata_loss();
+                Event::MetadataLost
+            }
+        };
+        model.register = transition(model.register, event);
+        assert_eq!(
+            (sys.drain_open(), sys.episode()),
+            (
+                matches!(model.register, Register::Interrupted(_)),
+                model.episode()
+            ),
+            "{name}: after step {k}"
+        );
+    }
+    false
+}
+
+/// The drains one run-time engine allows, completed and cut.
+fn drains(engine: DrainScheme) -> Vec<Step> {
+    [
+        DrainScheme::NonSecure,
+        engine,
+        DrainScheme::HorusSlm,
+        DrainScheme::HorusDlm,
+    ]
+    .into_iter()
+    .flat_map(|s| [Step::Drain(s, false), Step::Drain(s, true)])
+    .collect()
+}
+
+/// Every ordered pair of completed or cut drains under each run-time
+/// engine, with and without a recovery between them, then a final
+/// recovery: 256 sequences. The ten whose second drain is a baseline
+/// drain the model expects to panic (see `baseline_drain_panics`) are
+/// asserted to panic, not skipped.
+#[test]
+fn episode_state_follows_the_transition_table() {
+    let (mut sequences, mut panicked) = (0, 0);
+    for engine in [DrainScheme::BaseLazy, DrainScheme::BaseEager] {
+        let drains = drains(engine);
+        for &first in &drains {
+            for between in [None, Some(Step::Recover)] {
+                for &second in &drains {
+                    let steps: Vec<Step> =
+                        [Some(first), between, Some(second), Some(Step::Recover)]
+                            .into_iter()
+                            .flatten()
+                            .collect();
+                    sequences += 1;
+                    panicked += usize::from(check_sequence(engine, &steps));
+                }
+            }
+        }
+    }
+    assert_eq!(sequences, 256);
+    assert_eq!(panicked, 10, "expected-panic rows");
+}
+
+/// Losing the volatile state without a drain leaves no episode and a
+/// closed register, whatever the drain before it left — including an
+/// open register — and the rotation counter carries on.
+#[test]
+fn metadata_loss_leaves_no_episode() {
+    for engine in [DrainScheme::BaseLazy, DrainScheme::BaseEager] {
+        for first in drains(engine) {
+            let steps = [
+                first,
+                Step::LoseMetadata,
+                Step::Recover,
+                Step::Drain(DrainScheme::HorusSlm, false),
+                Step::Recover,
+            ];
+            assert!(!check_sequence(engine, &steps));
+        }
     }
 }

@@ -4,9 +4,8 @@
 //! and exported golden traces alike — at pool sizes {1, 2, 8}.
 //!
 //! Companion to `trace_golden.rs`: that file pins determinism across
-//! the memoizing `Harness`; this one pins the bare pool the harness and
-//! the bench gate's throughput rating (`bench_gate::measure_throughput`)
-//! both run episodes on.
+//! the memoizing `Harness`; this one pins the bare pool the harness runs
+//! episodes on.
 
 use horus::core::{DrainScheme, SystemConfig};
 use horus::harness::{run_indexed, JobSpec};

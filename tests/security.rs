@@ -35,7 +35,10 @@ fn assert_detected(sys: &mut SecureEpdSystem, first: u64, what: &str) {
             && meta.tree_cache().is_empty(),
         "{what}: metadata restored"
     );
-    assert!(sys.episode().is_some(), "{what}: episode consumed");
+    assert!(
+        sys.episode().is_some(),
+        "{what}: a failed recovery keeps the episode"
+    );
 }
 
 const BOTH: [DrainScheme; 2] = [DrainScheme::HorusSlm, DrainScheme::HorusDlm];
